@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
                      TotalInternalReflection, Wavelength,
                      max_propagating_order, refraction_angle, snell_angle)
-from .quadrature import QuadratureError, adaptive_quad
 from .diffraction import (IntensityProfile, NullBeyondHorizon, SpotReport,
                           first_null_angle, fraunhofer_relative_intensity,
                           medium_wavelength_nm, pattern_power_fraction,

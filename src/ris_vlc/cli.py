@@ -16,7 +16,6 @@ import sys
 
 from .diffraction import NullBeyondHorizon
 from .optics import EvanescentOrder, TotalInternalReflection
-from .quadrature import QuadratureError
 from .runner import run, run_bundled
 from .scenario import ScenarioError, load_scenario
 from .tuning import Infeasible, NonMonotonic, OutOfMaterialRange
@@ -27,8 +26,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _NUMERICAL_ERRORS = (EvanescentOrder, TotalInternalReflection,
-                     NullBeyondHorizon, QuadratureError, Infeasible,
-                     NonMonotonic, OutOfMaterialRange)
+                     NullBeyondHorizon, Infeasible, NonMonotonic,
+                     OutOfMaterialRange)
 
 _SCENARIO_COMMANDS = ("eval", "sweep", "design", "bench")
 

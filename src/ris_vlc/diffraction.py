@@ -18,22 +18,26 @@ sinc^2(a * (u - centre) / (lambda_m * depth)), whose full-plane integral
 converges; its main-lobe share is the textbook sinc^2 value independent
 of geometry.  The normalisation integral is truncated at the 89.9 deg
 horizon, with the analytic tail bound  integral_{t>T} sinc^2 < 1/(pi^2 T)
-checked per call.
+checked per call.  Both integrals are evaluated in closed form,
+
+    integral_0^T sinc^2(t) dt = [Si(2 pi T) - sin^2(pi T) / (pi T)] / pi,
+
+with the sine integral Si computed by its power series for small
+arguments and by the continued fraction of E1(ix) otherwise.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .optics import Angle, IncidentWave, SteeringGeometry, refraction_angle
-from .quadrature import adaptive_quad
 
 __all__ = [
     "NullBeyondHorizon",
@@ -188,29 +192,65 @@ def spot_report(geom: SteeringGeometry, wave: IncidentWave) -> SpotReport:
                       pd_coverage=coverage)
 
 
-@lru_cache(maxsize=200_000)
-def _half_capture(t: float, tol: float) -> float:
-    """integral_0^t sinc^2, by adaptive quadrature seeded at the nulls."""
+# Si(x) switches from its power series to the continued fraction of
+# E1(ix) at this argument (Numerical Recipes in C, 2nd ed., section 6.9,
+# routine cisi).
+_SI_SERIES_MAX = 2.0
+_EPS = sys.float_info.epsilon
+# The continued-fraction stop is met within ~110 terms for every x >= 2;
+# the cap only bounds a stall at rounding level, where h has converged.
+_SI_MAX_TERMS = 1000
+
+
+def _sine_integral(x: float) -> float:
+    """Si(x) = integral_0^x sin(t)/t dt for x >= 0."""
+    if x < _SI_SERIES_MAX:
+        # sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!), to the last ulp
+        power = total = x
+        k = 1
+        while True:
+            power *= -x * x / ((k + 1) * (k + 2))
+            k += 2
+            term = power / k
+            total += term
+            if abs(term) <= _EPS * total:
+                return total
+    # Modified Lentz evaluation of e^{ix} E1(ix); Si = pi/2 + Im E1(ix).
+    b = complex(1.0, x)
+    c = 1.0 / sys.float_info.min
+    d = h = 1.0 / b
+    for i in range(1, _SI_MAX_TERMS):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta.real - 1.0) + abs(delta.imag) <= _EPS:
+            break
+    return math.pi / 2 + (h * complex(math.cos(x), -math.sin(x))).imag
+
+
+def _half_capture(t: float) -> float:
+    """integral_0^t sinc^2 = [Si(2 pi t) - sin^2(pi t) / (pi t)] / pi."""
     if t <= 0.0:
         return 0.0
-    breakpoints = np.arange(1.0, math.ceil(t)) if t > 1.0 else None
-    return adaptive_quad(lambda x: np.sinc(x) ** 2, 0.0, t,
-                         abs_tol=tol, breakpoints=breakpoints)
+    pt = math.pi * t
+    return (_sine_integral(2.0 * pt) - math.sin(pt) ** 2 / pt) / math.pi
 
 
 def pattern_power_fraction(
     geom: SteeringGeometry,
     wave: IncidentWave,
     window_halfwidth_mm: float,
-    *,
-    tol: float = 1e-9,
 ) -> float:
     """Fraction of the pattern's plane-integrated power inside a window
     centred on the pattern centre.
 
-    Both the window integral and the full-plane normalisation are done by
-    adaptive quadrature (see the module capture convention); the result is
-    nondecreasing in the window size and bounded by [0, 1].
+    Both the window integral and the horizon-truncated normalisation use
+    the closed-form sinc^2 integral (see the module capture convention);
+    the result is nondecreasing in the window size, to rounding, and
+    bounded by [0, 1].
     """
     if not window_halfwidth_mm > 0:
         raise ValueError(
@@ -224,6 +264,6 @@ def pattern_power_fraction(
             f"normalisation tail beyond the 89.9 deg horizon bounded by "
             f"{tail_bound:.2e} of total power", stacklevel=2)
     t_win = min(window_halfwidth_mm / scale, t_max)
-    numerator = _half_capture(t_win, tol)
-    denominator = _half_capture(t_max, tol)
+    numerator = _half_capture(t_win)
+    denominator = _half_capture(t_max)
     return min(max(numerator / denominator, 0.0), 1.0)

@@ -23,7 +23,6 @@ import numpy as np
 from .diffraction import pattern_power_fraction
 from .optics import (EvanescentOrder, IncidentWave, SteeringGeometry,
                      Wavelength, refraction_angle)
-from .quadrature import QuadratureError
 
 __all__ = [
     "TransmittanceResult",
@@ -35,7 +34,7 @@ __all__ = [
     "sweep_to_csv",
 ]
 
-_STATE_ERRORS = (EvanescentOrder, QuadratureError, ValueError)
+_STATE_ERRORS = (EvanescentOrder, ValueError)
 
 
 @dataclass(frozen=True)
@@ -88,16 +87,22 @@ def _incidence_factor(wave: IncidentWave) -> float:
 
 
 def transmittance(
-    geom: SteeringGeometry, wave: IncidentWave, *, quad_tol: float = 1e-9
+    geom: SteeringGeometry, wave: IncidentWave, *, capture: float | None = None
 ) -> TransmittanceResult:
-    """Detector-captured share of the slit-incident power."""
+    """Detector-captured share of the slit-incident power.
+
+    ``capture`` is the detector capture fraction
+    ``pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)`` when the
+    caller has already computed it.
+    """
     refraction_angle(geom, wave)  # configured order must propagate
     factor = _incidence_factor(wave)
     if factor == 0.0:
         value = 0.0
     else:
-        value = factor * pattern_power_fraction(
-            geom, wave, geom.pd_length_mm / 2, tol=quad_tol)
+        if capture is None:
+            capture = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
+        value = factor * capture
     return TransmittanceResult(
         value=value,
         incidence_factor=factor,
@@ -109,8 +114,6 @@ def tuning_gain(
     geom_before: SteeringGeometry,
     geom_after: SteeringGeometry,
     wave: IncidentWave,
-    *,
-    quad_tol: float = 1e-9,
 ) -> TuningGain:
     """Transmittance difference after minus before a slab state change.
 
@@ -118,11 +121,11 @@ def tuning_gain(
     failed.
     """
     try:
-        before = transmittance(geom_before, wave, quad_tol=quad_tol)
+        before = transmittance(geom_before, wave)
     except _STATE_ERRORS as exc:
         raise type(exc)(f"before state: {exc}") from exc
     try:
-        after = transmittance(geom_after, wave, quad_tol=quad_tol)
+        after = transmittance(geom_after, wave)
     except _STATE_ERRORS as exc:
         raise type(exc)(f"after state: {exc}") from exc
     return TuningGain(before=before, after=after, gain=after.value - before.value)
@@ -135,7 +138,6 @@ def wavelength_sweep(
     steps: int,
     *,
     spacing: str = "linear",
-    quad_tol: float = 1e-9,
 ) -> list[SweepPoint]:
     """Transmittance over a wavelength grid, endpoints included.
 
@@ -159,7 +161,7 @@ def wavelength_sweep(
     for lam in grid:
         wave = replace(wave_template, wavelength=Wavelength(float(lam)))
         try:
-            result = transmittance(geom, wave, quad_tol=quad_tol)
+            result = transmittance(geom, wave)
             points.append(SweepPoint(float(lam), result, None))
         except _STATE_ERRORS as exc:
             points.append(SweepPoint(float(lam), None,

@@ -21,8 +21,7 @@ from .diffraction import (NullBeyondHorizon, first_null_angle, profile_on_pd,
                           pattern_power_fraction)
 from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
                      Wavelength, refraction_angle)
-from .quadrature import QuadratureError
-from .radiometry import transmittance
+from .radiometry import TransmittanceResult, transmittance
 from .scenario import Scenario, SweepSpec, load_scenario
 from .tuning import (Actuator, LiquidCrystalActuator, MetaLensActuator,
                      lc_apply, metalens_apply, solve_depth_for_spot,
@@ -31,7 +30,7 @@ from .tuning import (Actuator, LiquidCrystalActuator, MetaLensActuator,
 __all__ = ["RunReport", "run", "run_bundled", "bundled_scenario_names",
            "bundled_scenario_path"]
 
-_ROW_ERRORS = (EvanescentOrder, QuadratureError, ValueError)
+_ROW_ERRORS = (EvanescentOrder, ValueError)
 
 _METRIC_COLUMNS = ["refraction_angle_deg", "first_null_angle_deg",
                    "full_width_mm", "pd_coverage", "transmittance",
@@ -79,7 +78,8 @@ def _apply_override(key: str, value: float, geom: SteeringGeometry,
     raise ValueError(f"unknown override key {key!r}")
 
 
-def _metric_cells(geom: SteeringGeometry, wave: IncidentWave) -> list[str]:
+def _metric_cells(geom: SteeringGeometry, wave: IncidentWave
+                  ) -> tuple[list[str], TransmittanceResult]:
     theta = refraction_angle(geom, wave)
     try:
         null = first_null_angle(geom, wave)
@@ -89,9 +89,10 @@ def _metric_cells(geom: SteeringGeometry, wave: IncidentWave) -> list[str]:
         width = math.inf
         null_deg = 90.0
     coverage = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
-    tr = transmittance(geom, wave)
-    return [_fmt(theta.degrees), _fmt(null_deg), _fmt(width), _fmt(coverage),
-            _fmt(tr.value), _fmt(tr.incidence_factor), _fmt(tr.captured_power_w)]
+    tr = transmittance(geom, wave, capture=coverage)
+    cells = [_fmt(theta.degrees), _fmt(null_deg), _fmt(width), _fmt(coverage),
+             _fmt(tr.value), _fmt(tr.incidence_factor), _fmt(tr.captured_power_w)]
+    return cells, tr
 
 
 def _sweep_grid(spec: SweepSpec) -> list[float]:
@@ -135,11 +136,10 @@ def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
                                                  sc.actuator)
                 geom, wave = _apply_override(spec.parameter, pv, geom, wave,
                                              sc.actuator)
-                cells = _metric_cells(geom, wave)
+                cells, tr = _metric_cells(geom, wave)
                 if spec.baseline is not None:
                     base_geom = replace(geom, **dict(spec.baseline))
-                    gain = (transmittance(geom, wave).value
-                            - transmittance(base_geom, wave).value)
+                    gain = tr.value - transmittance(base_geom, wave).value
                     cells.append(_fmt(gain))
                 rows.append(lead + cells + [""])
             except _ROW_ERRORS as exc:
@@ -154,7 +154,7 @@ def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
 
 def _run_eval(sc: Scenario, out_dir: Path) -> list[tuple[Path, str]]:
     artifacts = [(out_dir / f"{sc.name}_summary.csv", "")]
-    cells = _metric_cells(sc.geometry, sc.wave)
+    cells, _ = _metric_cells(sc.geometry, sc.wave)
     _write_csv(artifacts[0][0], _METRIC_COLUMNS, [cells])
     artifacts[0] = (artifacts[0][0], f"{artifacts[0][0].name}: 1 row")
     if sc.profile is not None:

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
 from ris_vlc.diffraction import (IntensityProfile, NullBeyondHorizon,
+                                 _half_capture,
                                  first_null_angle,
                                  fraunhofer_relative_intensity,
                                  medium_wavelength_nm, pattern_power_fraction,
@@ -180,3 +185,51 @@ class TestPowerFraction:
         g, w = geom(), wave()
         got = pattern_power_fraction(g, w, halfwidth)
         assert got == pytest.approx(brute_fraction(g, w, halfwidth), abs=1e-6)
+
+
+def sici_half_capture(t):
+    """integral_0^t sinc^2 with Si from scipy, an independent oracle."""
+    si, _ = sici(2.0 * math.pi * t)
+    return (si - math.sin(math.pi * t) ** 2 / (math.pi * t)) / math.pi
+
+
+# Si switches from its power series to its continued fraction at
+# 2 pi t = 2: probe a few ulps and a few parts in 1e6 either side.
+SEAM = 1.0 / math.pi
+SEAM_ULPS = [SEAM * (1 + k * 1e-15) for k in range(-4, 5)]
+SEAM_NEAR = [SEAM * (1 + k * 1e-6) for k in (-3, -1, 1, 3)]
+# Grids with steps well above rounding (~3e-16 here), where the integral
+# must increase visibly or stay flat.
+RESOLVED_GRIDS = [np.geomspace(1e-3, 2e5, 20001), np.arange(1.0, 51.0),
+                  np.array(SEAM_NEAR)]
+
+
+class TestHalfCapture:
+    @pytest.mark.parametrize("grid", [
+        pytest.param(np.geomspace(1e-3, 2e5, 2001), id="geomspace"),
+        pytest.param(np.arange(1.0, 51.0), id="nulls"),
+        pytest.param(np.array(SEAM_ULPS + SEAM_NEAR), id="seam"),
+    ])
+    def test_against_scipy_sici(self, grid):
+        got = np.array([_half_capture(float(t)) for t in grid])
+        want = np.array([sici_half_capture(float(t)) for t in grid])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_nondecreasing(self):
+        for grid in RESOLVED_GRIDS:
+            values = [_half_capture(float(t)) for t in grid]
+            assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_limits(self):
+        assert _half_capture(0.0) == 0.0
+        # integral_0^inf sinc^2 = 1/2, tail below 1/(pi^2 t)
+        big = 1e7
+        assert 0.5 - 1 / (math.pi ** 2 * big) <= _half_capture(big) <= 0.5
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, ris_vlc; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

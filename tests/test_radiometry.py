@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from ris_vlc.diffraction import pattern_power_fraction
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, Wavelength)
 from ris_vlc.radiometry import (SweepPoint, sweep_to_csv, transmittance,
@@ -89,6 +90,12 @@ class TestTransmittance:
     def test_evanescent_propagates(self):
         with pytest.raises(EvanescentOrder):
             transmittance(geom(slit=0.4, n=1.1), wave(lam=800, inc=90, order=1))
+
+    @pytest.mark.parametrize("inc", [0.0, 60.0, 90.0])
+    def test_precomputed_capture_gives_the_same_result(self, inc):
+        g, w = geom(), wave(inc=inc)
+        capture = pattern_power_fraction(g, w, g.pd_length_mm / 2)
+        assert transmittance(g, w, capture=capture) == transmittance(g, w)
 
 
 class TestTuningGain:
