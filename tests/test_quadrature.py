@@ -1,11 +1,12 @@
+"""The sinc^2 integral behind the capture fraction, diffraction._half_capture,
+checked against scipy's Si and against a brute-force trapezoid sum."""
 import math
 
 import numpy as np
 import pytest
 from scipy.special import sici
 
-from ris_vlc.quadrature import (QuadratureError, _GAUSS_WEIGHTS,
-                                _KRONROD_WEIGHTS, adaptive_quad)
+from ris_vlc.diffraction import _half_capture
 
 
 def sinc2(t):
@@ -19,24 +20,10 @@ def sinc2_integral(t):
     return si / math.pi - math.sin(math.pi * t) ** 2 / (math.pi ** 2 * t)
 
 
-def test_weights_normalised():
-    assert _KRONROD_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-14)
-    assert _GAUSS_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-14)
-
-
-def test_polynomial_exact():
-    # G7/K15 integrates low-degree polynomials to machine precision;
-    # antiderivative x^4/4 - x^2 + x gives 3.75 on [-1, 2]
-    assert adaptive_quad(lambda x: x ** 3 - 2 * x + 1, -1.0, 2.0) == \
-        pytest.approx(3.75, abs=1e-13)
-
-
 @pytest.mark.parametrize("upper", [0.5, 1.0, 3.5, 100.0, 6250.44])
 def test_sinc2_against_closed_form(upper):
-    breakpoints = np.arange(1.0, math.ceil(upper)) if upper > 1 else None
-    got = adaptive_quad(sinc2, 0.0, upper, abs_tol=1e-10,
-                        breakpoints=breakpoints)
-    assert got == pytest.approx(sinc2_integral(upper), abs=1e-12)
+    assert _half_capture(upper) == pytest.approx(sinc2_integral(upper),
+                                                 abs=1e-12)
 
 
 @pytest.mark.parametrize("upper", [1.0, 3.5])
@@ -44,30 +31,4 @@ def test_against_brute_force_trapezoid(upper):
     # independent oracle: 10^6 uniform trapezoid samples
     t = np.linspace(0.0, upper, 1_000_001)
     brute = np.trapezoid(sinc2(t), t)
-    breakpoints = np.arange(1.0, math.ceil(upper)) if upper > 1 else None
-    got = adaptive_quad(sinc2, 0.0, upper, breakpoints=breakpoints)
-    assert abs(got - brute) < 1e-6
-
-
-def test_tolerance_budget_scales_with_interval():
-    exact = sinc2_integral(20.0)
-    loose = adaptive_quad(sinc2, 0.0, 20.0, abs_tol=1e-3)
-    assert abs(loose - exact) < 1e-3
-
-
-def test_breakpoints_outside_interval_ignored():
-    got = adaptive_quad(sinc2, 0.0, 2.0, breakpoints=[-1.0, 1.0, 5.0])
-    assert got == pytest.approx(sinc2_integral(2.0), abs=1e-12)
-
-
-def test_nonconvergence_reported():
-    jump = lambda x: np.where(x > 1 / math.pi, 1.0, 0.0)
-    with pytest.raises(QuadratureError):
-        adaptive_quad(jump, 0.0, 1.0, abs_tol=1e-14, max_depth=4)
-
-
-def test_invalid_interval():
-    with pytest.raises(ValueError):
-        adaptive_quad(sinc2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        adaptive_quad(sinc2, 0.0, 1.0, abs_tol=0.0)
+    assert abs(_half_capture(upper) - brute) < 1e-6
