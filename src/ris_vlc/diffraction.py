@@ -28,12 +28,10 @@ arguments and by the continued fraction of E1(ix) otherwise.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -88,13 +86,6 @@ class IntensityProfile:
             raise ValueError("positions must be strictly increasing")
         if np.any(self.relative_intensity < 0) or np.any(self.relative_intensity > 1):
             raise ValueError("relative intensity must lie in [0, 1]")
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["position_mm", "relative_intensity"])
-            for u, i in zip(self.positions_mm, self.relative_intensity):
-                writer.writerow([format(u, ".17g"), format(i, ".17g")])
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,21 @@
 
 The only module with side effects.  Data files are deterministic: one
 header row, '.' decimal separator, 17-significant-digit floats, fixed row
-order, no timestamps (run metadata goes to a JSON sidecar).
+order, no timestamps (run metadata goes to a JSON sidecar).  ``_write_csv``
+streams every CSV row from one ``%`` template; text cells come only from
+validated vocabularies, so no cell needs quoting.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .bench import compare_table, default_front_end, format_table, table_to_csv
@@ -47,15 +50,18 @@ class RunReport:
     summaries: tuple[str, ...]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+_CELL = "%.17g"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _template(n_floats: int, prefix: str = "", suffix: str = "") -> str:
+    """``prefix`` + n float cells + ``suffix`` + newline; no '%' in either."""
+    return prefix + ",".join([_CELL] * n_floats) + suffix + "\n"
+
+
+def _write_csv(path: Path, header: list[str], lines: Iterable[str]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _apply_override(key: str, value: float, geom: SteeringGeometry,
@@ -78,8 +84,8 @@ def _apply_override(key: str, value: float, geom: SteeringGeometry,
     raise ValueError(f"unknown override key {key!r}")
 
 
-def _metric_cells(geom: SteeringGeometry, wave: IncidentWave
-                  ) -> tuple[list[str], TransmittanceResult]:
+def _metric_values(geom: SteeringGeometry, wave: IncidentWave
+                   ) -> tuple[list[float], TransmittanceResult]:
     theta = refraction_angle(geom, wave)
     try:
         null = first_null_angle(geom, wave)
@@ -90,9 +96,8 @@ def _metric_cells(geom: SteeringGeometry, wave: IncidentWave
         null_deg = 90.0
     coverage = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
     tr = transmittance(geom, wave, capture=coverage)
-    cells = [_fmt(theta.degrees), _fmt(null_deg), _fmt(width), _fmt(coverage),
-             _fmt(tr.value), _fmt(tr.incidence_factor), _fmt(tr.captured_power_w)]
-    return cells, tr
+    return [theta.degrees, null_deg, width, coverage, tr.value,
+            tr.incidence_factor, tr.captured_power_w], tr
 
 
 def _sweep_grid(spec: SweepSpec) -> list[float]:
@@ -107,75 +112,62 @@ def _sweep_grid(spec: SweepSpec) -> list[float]:
 def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
     spec = sc.sweep
     grid = _sweep_grid(spec)
-    curve_values: list[float | None]
-    if spec.curves is not None:
-        curve_key, values = spec.curves
-        curve_values = list(values)
-    else:
-        curve_key, curve_values = None, [None]
+    curve_key, curve_values = spec.curves or (None, (None,))
 
-    header = []
-    if curve_key is not None:
-        header.append(curve_key)
-    header.append(_PARAM_COLUMN[spec.parameter])
-    header += _METRIC_COLUMNS
-    if spec.baseline is not None:
-        header.append("tuning_gain")
-    header.append("error")
+    header = ([curve_key] if curve_key else []) + [_PARAM_COLUMN[spec.parameter]]
+    header += _METRIC_COLUMNS + (["tuning_gain"] if spec.baseline else []) + ["error"]
 
-    rows: list[list[str]] = []
+    lines: list[str] = []
     n_err = 0
     for cv in curve_values:
         for pv in grid:
-            lead = [] if cv is None else [_fmt(cv)]
-            lead.append(_fmt(pv))
+            lead = [pv] if cv is None else [cv, pv]
             try:
                 geom, wave = sc.geometry, sc.wave
                 if cv is not None:
-                    geom, wave = _apply_override(curve_key, cv, geom, wave,
-                                                 sc.actuator)
+                    geom, wave = _apply_override(curve_key, cv, geom, wave, sc.actuator)
                 geom, wave = _apply_override(spec.parameter, pv, geom, wave,
                                              sc.actuator)
-                cells, tr = _metric_cells(geom, wave)
+                values, tr = _metric_values(geom, wave)
                 if spec.baseline is not None:
                     base_geom = replace(geom, **dict(spec.baseline))
-                    gain = tr.value - transmittance(base_geom, wave).value
-                    cells.append(_fmt(gain))
-                rows.append(lead + cells + [""])
+                    values.append(tr.value - transmittance(base_geom, wave).value)
+                row = lead + values
+                lines.append(_template(len(row), suffix=",") % tuple(row))
             except _ROW_ERRORS as exc:
                 n_err += 1
-                pad = len(header) - len(lead) - 1
-                rows.append(lead + [""] * pad + [type(exc).__name__])
+                tail = "," * (len(header) - len(lead)) + type(exc).__name__
+                lines.append(_template(len(lead), suffix=tail) % tuple(lead))
     path = out_dir / f"{sc.name}_sweep.csv"
-    _write_csv(path, header, rows)
+    _write_csv(path, header, lines)
     note = f" ({n_err} point(s) failed)" if n_err else ""
-    return path, f"{path.name}: {len(rows)} rows{note}"
+    return path, f"{path.name}: {len(lines)} rows{note}"
 
 
 def _run_eval(sc: Scenario, out_dir: Path) -> list[tuple[Path, str]]:
-    artifacts = [(out_dir / f"{sc.name}_summary.csv", "")]
-    cells, _ = _metric_cells(sc.geometry, sc.wave)
-    _write_csv(artifacts[0][0], _METRIC_COLUMNS, [cells])
-    artifacts[0] = (artifacts[0][0], f"{artifacts[0][0].name}: 1 row")
+    summary = out_dir / f"{sc.name}_summary.csv"
+    values, _ = _metric_values(sc.geometry, sc.wave)
+    _write_csv(summary, _METRIC_COLUMNS, [_template(len(values)) % tuple(values)])
+    artifacts = [(summary, f"{summary.name}: 1 row")]
     if sc.profile is not None:
+        # Every member is sampled before the file is opened, so a member
+        # that raises leaves no partial profile behind.
+        key, curve_values = sc.profile.curves or (None, (None,))
+        members = []
+        for cv in curve_values:
+            geom, wave, prefix = sc.geometry, sc.wave, ""
+            if cv is not None:
+                geom, wave = _apply_override(key, cv, geom, wave, sc.actuator)
+                prefix = _CELL % cv + ","
+            members.append((prefix, profile_on_pd(geom, wave, sc.profile.samples)))
+        header = ([key] if key else []) + ["position_mm", "relative_intensity"]
         path = out_dir / f"{sc.name}_profile.csv"
-        if sc.profile.curves is None:
-            prof = profile_on_pd(sc.geometry, sc.wave, sc.profile.samples)
-            header = ["position_mm", "relative_intensity"]
-            rows = [[_fmt(u), _fmt(i)] for u, i in
-                    zip(prof.positions_mm, prof.relative_intensity)]
-        else:
-            curve_key, values = sc.profile.curves
-            header = [curve_key, "position_mm", "relative_intensity"]
-            rows = []
-            for cv in values:
-                geom, wave = _apply_override(curve_key, cv, sc.geometry,
-                                             sc.wave, sc.actuator)
-                prof = profile_on_pd(geom, wave, sc.profile.samples)
-                rows += [[_fmt(cv), _fmt(u), _fmt(i)] for u, i in
-                         zip(prof.positions_mm, prof.relative_intensity)]
-        _write_csv(path, header, rows)
-        artifacts.append((path, f"{path.name}: {len(rows)} rows"))
+        _write_csv(path, header, chain.from_iterable(
+            map(_template(2, prefix).__mod__,
+                zip(prof.positions_mm.tolist(), prof.relative_intensity.tolist()))
+            for prefix, prof in members))
+        rows = len(members) * sc.profile.samples
+        artifacts.append((path, f"{path.name}: {rows} rows"))
     return artifacts
 
 
@@ -212,8 +204,8 @@ def _run_design(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
     path = out_dir / f"{sc.name}_design.csv"
     _write_csv(path,
                ["kind", "free", f"target_{unit}", solved_col, f"achieved_{unit}"],
-               [[target.kind, target.free, _fmt(target.value), _fmt(solved),
-                 _fmt(achieved)]])
+               [_template(3, f"{target.kind},{target.free},")
+                % (target.value, solved, achieved)])
     return path, f"{path.name}: {target.free} = {solved:.9g}"
 
 

@@ -52,6 +52,13 @@ _CURVE_PARAM = {"wavelength_nm": "wavelength", "n_ris": "n_ris",
                 "depth_mm": "depth", "incidence_deg": "incidence",
                 "voltage_v": "voltage"}
 _BASELINE_KEYS = ("depth_mm", "n_ris", "slit_um")
+# Bounds shared by the geometry/wave fields and by curve members overriding them.
+_FIELD_BOUNDS = {
+    "wavelength_nm": (lambda v: 200.0 <= v <= 2000.0, "lie in [200, 2000]"),
+    "n_ris": (lambda v: 1.0 < v <= 2.5, "lie in (1.0, 2.5]"),
+    "depth_mm": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    "incidence_deg": (lambda v: 0.0 <= v <= 90.0, "lie in [0, 90]"),
+    "voltage_v": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0")}
 
 
 class ScenarioError(ValueError):
@@ -145,6 +152,13 @@ def _take_number(block: dict, path: str, key: str, errors: list[str],
     return float(value)
 
 
+def _check_bounds(path: str, key: str, value: float, errors: list[str],
+                  index: str = "") -> None:
+    ok, text = _FIELD_BOUNDS[key]
+    if not ok(value):
+        errors.append(f"{path}.{key}{index}: must {text}, got {value:g}")
+
+
 def _reject_unknown(block: dict, path: str, known: tuple[str, ...],
                     errors: list[str]) -> None:
     for key in block:
@@ -170,14 +184,12 @@ def _parse_geometry(block: Any, errors: list[str]) -> SteeringGeometry | None:
     before = len(errors)
     if not slit > 0:
         errors.append(f"{path}.slit_um: must be > 0, got {slit:g}")
-    if not depth > 0:
-        errors.append(f"{path}.depth_mm: must be > 0, got {depth:g}")
+    _check_bounds(path, "depth_mm", depth, errors)
     if not pd > 0:
         errors.append(f"{path}.pd_length_mm: must be > 0, got {pd:g}")
     if not 1.0 <= n_air <= 1.001:
         errors.append(f"{path}.n_air: must lie in [1.0, 1.001], got {n_air:g}")
-    if not 1.0 < n_ris <= 2.5:
-        errors.append(f"{path}.n_ris: must lie in (1.0, 2.5], got {n_ris:g}")
+    _check_bounds(path, "n_ris", n_ris, errors)
     if len(errors) > before:
         return None
     return SteeringGeometry(slit_um=slit, depth_mm=depth, pd_length_mm=pd,
@@ -199,10 +211,8 @@ def _parse_wave(block: Any, errors: list[str]) -> IncidentWave | None:
     if None in (lam, inc):
         return None
     before = len(errors)
-    if not 200.0 <= lam <= 2000.0:
-        errors.append(f"{path}.wavelength_nm: must lie in [200, 2000], got {lam:g}")
-    if not 0.0 <= inc <= 90.0:
-        errors.append(f"{path}.incidence_deg: must lie in [0, 90], got {inc:g}")
+    _check_bounds(path, "wavelength_nm", lam, errors)
+    _check_bounds(path, "incidence_deg", inc, errors)
     if not power >= 0:
         errors.append(f"{path}.power_w: must be >= 0, got {power:g}")
     if order not in (0, 1, 2, 3):
@@ -281,7 +291,8 @@ def _parse_curves(block: Any, path: str, errors: list[str],
     return (key, tuple(float(v) for v in values))
 
 
-def _parse_profile(block: Any, errors: list[str]) -> ProfileSpec | None:
+def _parse_profile(block: Any, has_actuator: bool,
+                   errors: list[str]) -> ProfileSpec | None:
     path = "profile"
     if not isinstance(block, dict):
         errors.append(f"{path}: must be an object")
@@ -296,6 +307,11 @@ def _parse_profile(block: Any, errors: list[str]) -> ProfileSpec | None:
         curves = _parse_curves(block["curves"], f"{path}.curves", errors)
         if curves is None:
             return None
+        key, values = curves
+        if key == "voltage_v" and not has_actuator:
+            errors.append(f"{path}.curves: voltage curve requires an actuator block")
+        for k, v in enumerate(values):
+            _check_bounds(f"{path}.curves", key, v, errors, f"[{k}]")
     if samples is None:
         return None
     return ProfileSpec(samples=samples, curves=curves)
@@ -452,7 +468,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     if "profile" in data and active:
         errors.append("profile: only valid for single-evaluation scenarios")
 
-    profile = _parse_profile(data["profile"], errors) if "profile" in data else None
+    profile = _parse_profile(data["profile"], actuator is not None, errors) \
+        if "profile" in data else None
     sweep = _parse_sweep(data["sweep"], actuator is not None, errors) \
         if "sweep" in data else None
     design = _parse_design(data["design"], geometry, wave,

@@ -15,6 +15,8 @@ from ris_vlc.diffraction import (IntensityProfile, NullBeyondHorizon,
                                  profile_on_pd, spot_report, steering_offset_mm)
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, Wavelength)
+from ris_vlc.runner import run
+from ris_vlc.scenario import ProfileSpec, Scenario
 
 TAN_HORIZON = math.tan(math.radians(89.9))
 
@@ -107,15 +109,17 @@ class TestProfile:
                              0.0, 366.7)
 
     def test_csv_round_trip(self, tmp_path):
-        prof = profile_on_pd(geom(), wave(), 21)
-        path = tmp_path / "profile.csv"
-        prof.write_csv(path)
-        rows = path.read_text().splitlines()
+        g, w = geom(), wave()
+        sc = Scenario(name="p", geometry=g, wave=w,
+                      profile=ProfileSpec(samples=21))
+        run(sc, tmp_path, quiet=True)
+        rows = (tmp_path / "p_profile.csv").read_text().splitlines()
         assert rows[0] == "position_mm,relative_intensity"
         assert len(rows) == 22
-        u0, i0 = rows[1].split(",")
-        assert float(u0) == prof.positions_mm[0]
-        assert float(i0) == prof.relative_intensity[0]
+        prof = profile_on_pd(g, w, 21)
+        cells = np.array([row.split(",") for row in rows[1:]], dtype=float)
+        assert np.array_equal(cells[:, 0], prof.positions_mm)
+        assert np.array_equal(cells[:, 1], prof.relative_intensity)
 
 
 class TestSpotReport:

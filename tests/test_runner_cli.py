@@ -1,11 +1,20 @@
+import contextlib
+import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ris_vlc.cli import main
-from ris_vlc.runner import (bundled_scenario_names, bundled_scenario_path,
+from ris_vlc.runner import (_CELL, _template, _write_csv,
+                            bundled_scenario_names, bundled_scenario_path,
                             run)
-from ris_vlc.scenario import load_scenario, scenario_from_dict
+from ris_vlc.scenario import CURVE_KEYS, load_scenario, scenario_from_dict
 
 
 def write_scenario(tmp_path, data, name="case"):
@@ -189,3 +198,124 @@ class TestCli:
                      str(tmp_path / "out")])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "Infeasible"
+
+    def test_evanescent_profile_member_leaves_no_profile(self, tmp_path,
+                                                         capsys):
+        data = minimal()
+        data["geometry"]["slit_um"] = 1.0
+        # second member: sine (sin 80 deg + 0.55) / 1.5 = 1.023
+        data["profile"] = {"samples": 11,
+                           "curves": {"incidence_deg": [0.0, 80.0]}}
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        code = main(["eval", "--scenario", str(path), "--out", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "EvanescentOrder"
+        assert not (out / "case_profile.csv").exists()
+
+    @pytest.mark.parametrize("curves, where", [
+        ({"voltage_v": [1.0, 2.0]}, "requires an actuator"),
+        ({"depth_mm": [1.0, -2.0]}, "profile.curves.depth_mm[1]"),
+    ])
+    def test_invalid_profile_curves_are_validation_errors(
+            self, tmp_path, capsys, curves, where):
+        data = minimal()
+        data["profile"] = {"samples": 11, "curves": curves}
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        code = main(["eval", "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ScenarioError"
+        assert any(where in v for v in record["violations"])
+        assert not out.exists()
+
+
+AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e22, 0.1,
+           np.float64(1 / 3), np.float64(-2.5e-300), 7]
+
+
+class TestCsvWriter:
+    """The row templates and _write_csv give the bytes of csv.writer with
+    17-significant-digit cells."""
+
+    def test_bytes_match_csv_module(self, tmp_path):
+        def fmt(x):
+            return format(x, ".17g")
+
+        arr = np.array(AWKWARD, dtype=float)
+        reference = [[fmt(x) for x in AWKWARD],
+                     [fmt(0.1), fmt(-0.0), fmt(5e-324)],
+                     [fmt(1e22), fmt(0.1), "", "", "EvanescentOrder"],
+                     [fmt(math.nan), fmt(1e22), ""],
+                     ["spot_width", "depth", fmt(0.1), fmt(math.inf),
+                      fmt(np.float64(1 / 3))]]
+        reference += [[fmt(u), fmt(i)] for u, i in zip(arr, arr[::-1])]
+        lines = [_template(len(AWKWARD)) % tuple(AWKWARD),
+                 _template(2, _CELL % 0.1 + ",") % (-0.0, 5e-324),
+                 _template(2, suffix=",,,EvanescentOrder") % (1e22, 0.1),
+                 _template(2, suffix=",") % (math.nan, 1e22),
+                 _template(3, "spot_width,depth,")
+                 % (0.1, math.inf, np.float64(1 / 3))]
+        lines += map(_template(2).__mod__,
+                     zip(arr.tolist(), arr[::-1].tolist()))
+        header = ["a", "b", "c"]
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(reference)
+        _write_csv(tmp_path / "new.csv", header, iter(lines))
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+
+_ACTUATORS = [None, {"preset": "lc-sun2019"},
+              {"type": "metalens", "v_max_v": 1000.0, "stretch_max": 1.5}]
+# Per curve key: admissible values, with the long wavelengths and the
+# near-grazing incidences that make a 1 um slit's order evanescent; then
+# values at or below zero and far too large for any field.
+_IN_RANGE = {"wavelength_nm": st.floats(200.0, 2000.0)
+             | st.sampled_from([1600.0, 2000.0]),
+             "n_ris": st.floats(1.0, 2.5, exclude_min=True),
+             "depth_mm": st.floats(1e-3, 10.0),
+             "incidence_deg": st.floats(60.0, 90.0)
+             | st.sampled_from([80.0, 89.9, 90.0]),
+             "voltage_v": st.floats(0.0, 2000.0)}
+_OUT_OF_RANGE = st.one_of(st.floats(-1e3, 0.0), st.floats(1e4, 1e300))
+_CURVES = st.sampled_from(CURVE_KEYS).flatmap(
+    lambda key: st.fixed_dictionaries({key: st.lists(
+        st.one_of(_IN_RANGE[key], _OUT_OF_RANGE), min_size=1, max_size=3)}))
+_PROFILES = st.fixed_dictionaries({"samples": st.integers(3, 50)},
+                                  optional={"curves": _CURVES})
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=_PROFILES, slit=st.sampled_from([1.0, 4.0]),
+       incidence=st.sampled_from([0.0, 60.0]),
+       actuator=st.sampled_from(_ACTUATORS))
+def test_eval_profile_cli_contract(profile, slit, incidence, actuator):
+    """Any profile block ends in a mapped exit code, a JSON record on
+    failure, and either a complete profile file or none."""
+    data = minimal()
+    data["geometry"]["slit_um"] = slit
+    data["wave"]["incidence_deg"] = incidence
+    data["profile"] = profile
+    if actuator is not None:
+        data["actuator"] = actuator
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), data)
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err):
+            code = main(["eval", "--scenario", str(path), "--out", str(out),
+                         "--quiet"])
+        profile_csv = out / "case_profile.csv"
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert "error" in json.loads(err.getvalue().splitlines()[-1])
+            assert not profile_csv.exists()
+        else:
+            (values,) = profile.get("curves", {None: [None]}).values()
+            members = len(values)
+            lines = profile_csv.read_text().splitlines()
+            assert len(lines) == 1 + members * profile["samples"]
