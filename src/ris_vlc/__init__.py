@@ -10,9 +10,8 @@ from .diffraction import (IntensityProfile, NullBeyondHorizon, SpotReport,
                           first_null_angle, fraunhofer_relative_intensity,
                           medium_wavelength_nm, pattern_power_fraction,
                           profile_on_pd, spot_report, steering_offset_mm)
-from .radiometry import (SweepPoint, TransmittanceResult, TuningGain,
-                         sweep_to_csv, transmittance, tuning_gain,
-                         wavelength_sweep)
+from .radiometry import (TransmittanceResult, TuningGain, transmittance,
+                         tuning_gain)
 from .tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                      MetaLensActuator, NonMonotonic, OutOfMaterialRange,
                      actuator_preset, lc_apply, metalens_apply,

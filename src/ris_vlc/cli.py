@@ -10,6 +10,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ _NUMERICAL_ERRORS = (EvanescentOrder, TotalInternalReflection,
 _SCENARIO_COMMANDS = ("eval", "sweep", "design", "bench")
 
 
+@functools.cache  # one parser per process; parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ris-vlc",

@@ -24,6 +24,10 @@ checked per call.  Both integrals are evaluated in closed form,
 
 with the sine integral Si computed by its power series for small
 arguments and by the continued fraction of E1(ix) otherwise.
+
+Everything here is scalar ``math`` except detector-profile sampling,
+which imports numpy when a profile is first sampled, so that sweeps,
+designs and the bench start without loading numpy.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .optics import Angle, IncidentWave, SteeringGeometry, refraction_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NullBeyondHorizon",
@@ -80,6 +86,8 @@ class IntensityProfile:
     medium_wavelength_nm: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if self.positions_mm.shape != self.relative_intensity.shape:
             raise ValueError("positions and intensities must have equal length")
         if not np.all(np.diff(self.positions_mm) > 0):
@@ -117,14 +125,15 @@ def fraunhofer_relative_intensity(
 ) -> float:
     """Relative intensity of the pattern at angle ``theta`` from its centre.
 
-    Exactly 1 at theta = 0 (the sinc limit is handled analytically by
-    numpy) and 0 at the nulls sin(theta) = k * lambda_m / a.
+    Exactly 1 at theta = 0 (the sinc limit) and 0 at the nulls
+    sin(theta) = k * lambda_m / a.
     """
     if not -math.pi / 2 < theta.radians < math.pi / 2:
         raise ValueError(
             f"theta must lie in (-90, 90) deg, got {theta.degrees:.6g} deg")
     ratio = geom.slit_um * 1e3 / medium_wavelength_nm(geom, wave)
-    return float(np.sinc(ratio * math.sin(theta.radians)) ** 2)
+    x = math.pi * ratio * math.sin(theta.radians)
+    return 1.0 if x == 0.0 else (math.sin(x) / x) ** 2
 
 
 def steering_offset_mm(geom: SteeringGeometry, wave: IncidentWave) -> float:
@@ -154,6 +163,8 @@ def profile_on_pd(
     Positions run over [-x/2, x/2] on the plane at the slab depth; the
     angular coordinate of a point is atan((u - centre) / depth).
     """
+    import numpy as np
+
     if samples < 3:
         raise ValueError(f"samples must be >= 3, got {samples}")
     centre = steering_offset_mm(geom, wave)

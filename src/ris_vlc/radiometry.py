@@ -13,25 +13,18 @@ plain difference of transmittance after minus before a state change.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
-from pathlib import Path
-
-import numpy as np
+from dataclasses import dataclass
 
 from .diffraction import pattern_power_fraction
 from .optics import (EvanescentOrder, IncidentWave, SteeringGeometry,
-                     Wavelength, refraction_angle)
+                     refraction_angle)
 
 __all__ = [
     "TransmittanceResult",
     "TuningGain",
-    "SweepPoint",
     "transmittance",
     "tuning_gain",
-    "wavelength_sweep",
-    "sweep_to_csv",
 ]
 
 _STATE_ERRORS = (EvanescentOrder, ValueError)
@@ -66,16 +59,6 @@ class TuningGain:
     def __post_init__(self) -> None:
         if not -1.0 <= self.gain <= 1.0:
             raise ValueError(f"gain must lie in [-1, 1], got {self.gain}")
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep entry; ``error`` holds the failure name when the point
-    could not be evaluated (the sweep itself continues)."""
-
-    wavelength_nm: float
-    result: TransmittanceResult | None
-    error: str | None
 
 
 def _incidence_factor(wave: IncidentWave) -> float:
@@ -129,61 +112,3 @@ def tuning_gain(
     except _STATE_ERRORS as exc:
         raise type(exc)(f"after state: {exc}") from exc
     return TuningGain(before=before, after=after, gain=after.value - before.value)
-
-
-def wavelength_sweep(
-    geom: SteeringGeometry,
-    wave_template: IncidentWave,
-    band: tuple[float, float],
-    steps: int,
-    *,
-    spacing: str = "linear",
-) -> list[SweepPoint]:
-    """Transmittance over a wavelength grid, endpoints included.
-
-    Per-point failures are recorded in the returned entries instead of
-    aborting the sweep.
-    """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    lo, hi = band
-    if not lo < hi:
-        raise ValueError(f"band must be increasing, got ({lo}, {hi})")
-    Wavelength(lo), Wavelength(hi)  # both endpoints inside the guard band
-    if spacing == "linear":
-        grid = np.linspace(lo, hi, steps)
-    elif spacing == "log":
-        grid = np.geomspace(lo, hi, steps)
-    else:
-        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-
-    points: list[SweepPoint] = []
-    for lam in grid:
-        wave = replace(wave_template, wavelength=Wavelength(float(lam)))
-        try:
-            result = transmittance(geom, wave)
-            points.append(SweepPoint(float(lam), result, None))
-        except _STATE_ERRORS as exc:
-            points.append(SweepPoint(float(lam), None,
-                                     f"{type(exc).__name__}: {exc}"))
-    return points
-
-
-def sweep_to_csv(points: list[SweepPoint], path: str | Path) -> None:
-    """Write a sweep as CSV (wavelength_nm, transmittance,
-    incidence_factor, captured_power_w); failed points leave the value
-    columns empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["wavelength_nm", "transmittance",
-                         "incidence_factor", "captured_power_w"])
-        for p in points:
-            if p.result is None:
-                writer.writerow([format(p.wavelength_nm, ".17g"), "", "", ""])
-            else:
-                writer.writerow([
-                    format(p.wavelength_nm, ".17g"),
-                    format(p.result.value, ".17g"),
-                    format(p.result.incidence_factor, ".17g"),
-                    format(p.result.captured_power_w, ".17g"),
-                ])

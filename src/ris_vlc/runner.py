@@ -14,7 +14,6 @@ import math
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -56,6 +55,24 @@ _CELL = "%.17g"
 def _template(n_floats: int, prefix: str = "", suffix: str = "") -> str:
     """``prefix`` + n float cells + ``suffix`` + newline; no '%' in either."""
     return prefix + ",".join([_CELL] * n_floats) + suffix + "\n"
+
+
+# Profile rows are formatted this many at a time, by one repeated template.
+_BLOCK_ROWS = 256
+
+
+def _profile_blocks(prefix: str, positions: list[float],
+                    intensities: list[float]) -> Iterable[str]:
+    """The rows ``prefix`` + position + intensity, in blocks of
+    ``_BLOCK_ROWS``."""
+    cells = [0.0] * (2 * len(positions))
+    cells[0::2] = positions
+    cells[1::2] = intensities
+    row = _template(2, prefix)
+    full, width = row * _BLOCK_ROWS, 2 * _BLOCK_ROWS
+    for start in range(0, len(cells), width):
+        block = tuple(cells[start:start + width])
+        yield (full if len(block) == width else row * (len(block) // 2)) % block
 
 
 def _write_csv(path: Path, header: list[str], lines: Iterable[str]) -> None:
@@ -162,10 +179,10 @@ def _run_eval(sc: Scenario, out_dir: Path) -> list[tuple[Path, str]]:
             members.append((prefix, profile_on_pd(geom, wave, sc.profile.samples)))
         header = ([key] if key else []) + ["position_mm", "relative_intensity"]
         path = out_dir / f"{sc.name}_profile.csv"
-        _write_csv(path, header, chain.from_iterable(
-            map(_template(2, prefix).__mod__,
-                zip(prof.positions_mm.tolist(), prof.relative_intensity.tolist()))
-            for prefix, prof in members))
+        _write_csv(path, header, (
+            block for prefix, prof in members
+            for block in _profile_blocks(prefix, prof.positions_mm.tolist(),
+                                         prof.relative_intensity.tolist())))
         rows = len(members) * sc.profile.samples
         artifacts.append((path, f"{path.name}: {rows} rows"))
     return artifacts

@@ -48,12 +48,15 @@ SWEEP_PARAMETERS = ("wavelength", "n_ris", "depth", "incidence", "voltage")
 _PARAM_SUFFIX = {"wavelength": "nm", "n_ris": "index", "depth": "mm",
                  "incidence": "deg", "voltage": "v"}
 CURVE_KEYS = ("wavelength_nm", "n_ris", "depth_mm", "incidence_deg", "voltage_v")
-_CURVE_PARAM = {"wavelength_nm": "wavelength", "n_ris": "n_ris",
-                "depth_mm": "depth", "incidence_deg": "incidence",
-                "voltage_v": "voltage"}
+# The field a sweep parameter sets, which its bounds and curve keys name.
+_PARAM_FIELD = dict(zip(SWEEP_PARAMETERS, CURVE_KEYS))
 _BASELINE_KEYS = ("depth_mm", "n_ris", "slit_um")
-# Bounds shared by the geometry/wave fields and by curve members overriding them.
+# Bounds shared by the geometry/wave fields and by the sweep ranges, curve
+# members and baselines that override them.
 _FIELD_BOUNDS = {
+    "slit_um": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    "pd_length_mm": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    "power_w": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0"),
     "wavelength_nm": (lambda v: 200.0 <= v <= 2000.0, "lie in [200, 2000]"),
     "n_ris": (lambda v: 1.0 < v <= 2.5, "lie in (1.0, 2.5]"),
     "depth_mm": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
@@ -153,8 +156,8 @@ def _take_number(block: dict, path: str, key: str, errors: list[str],
 
 
 def _check_bounds(path: str, key: str, value: float, errors: list[str],
-                  index: str = "") -> None:
-    ok, text = _FIELD_BOUNDS[key]
+                  index: str = "", field: str | None = None) -> None:
+    ok, text = _FIELD_BOUNDS[field or key]
     if not ok(value):
         errors.append(f"{path}.{key}{index}: must {text}, got {value:g}")
 
@@ -182,11 +185,9 @@ def _parse_geometry(block: Any, errors: list[str]) -> SteeringGeometry | None:
         return None
     # Field-level invariant checks so every violation is reported at once.
     before = len(errors)
-    if not slit > 0:
-        errors.append(f"{path}.slit_um: must be > 0, got {slit:g}")
+    _check_bounds(path, "slit_um", slit, errors)
     _check_bounds(path, "depth_mm", depth, errors)
-    if not pd > 0:
-        errors.append(f"{path}.pd_length_mm: must be > 0, got {pd:g}")
+    _check_bounds(path, "pd_length_mm", pd, errors)
     if not 1.0 <= n_air <= 1.001:
         errors.append(f"{path}.n_air: must lie in [1.0, 1.001], got {n_air:g}")
     _check_bounds(path, "n_ris", n_ris, errors)
@@ -213,8 +214,7 @@ def _parse_wave(block: Any, errors: list[str]) -> IncidentWave | None:
     before = len(errors)
     _check_bounds(path, "wavelength_nm", lam, errors)
     _check_bounds(path, "incidence_deg", inc, errors)
-    if not power >= 0:
-        errors.append(f"{path}.power_w: must be >= 0, got {power:g}")
+    _check_bounds(path, "power_w", power, errors)
     if order not in (0, 1, 2, 3):
         errors.append(f"{path}.order: must be one of 0..3, got {order!r}")
     if len(errors) > before:
@@ -271,7 +271,7 @@ def _parse_actuator(block: Any, geometry: SteeringGeometry | None,
     return None
 
 
-def _parse_curves(block: Any, path: str, errors: list[str],
+def _parse_curves(block: Any, path: str, has_actuator: bool, errors: list[str],
                   forbidden_parameter: str | None = None
                   ) -> tuple[str, tuple[float, ...]] | None:
     if not isinstance(block, dict) or len(block) != 1:
@@ -281,13 +281,17 @@ def _parse_curves(block: Any, path: str, errors: list[str],
     if key not in CURVE_KEYS:
         errors.append(f"{path}.{key}: curve key must be one of {CURVE_KEYS}")
         return None
-    if _CURVE_PARAM[key] == forbidden_parameter:
+    if key == _PARAM_FIELD.get(forbidden_parameter):
         errors.append(f"{path}.{key}: curve parameter duplicates the sweep parameter")
         return None
     if not (isinstance(values, list) and values
             and all(_is_number(v) for v in values)):
         errors.append(f"{path}.{key}: must be a non-empty list of numbers")
         return None
+    if key == "voltage_v" and not has_actuator:
+        errors.append(f"{path}: voltage curve requires an actuator block")
+    for k, v in enumerate(values):
+        _check_bounds(path, key, v, errors, f"[{k}]")
     return (key, tuple(float(v) for v in values))
 
 
@@ -304,14 +308,10 @@ def _parse_profile(block: Any, has_actuator: bool,
         samples = None
     curves = None
     if "curves" in block:
-        curves = _parse_curves(block["curves"], f"{path}.curves", errors)
+        curves = _parse_curves(block["curves"], f"{path}.curves", has_actuator,
+                               errors)
         if curves is None:
             return None
-        key, values = curves
-        if key == "voltage_v" and not has_actuator:
-            errors.append(f"{path}.curves: voltage curve requires an actuator block")
-        for k, v in enumerate(values):
-            _check_bounds(f"{path}.curves", key, v, errors, f"[{k}]")
     if samples is None:
         return None
     return ProfileSpec(samples=samples, curves=curves)
@@ -340,6 +340,10 @@ def _parse_sweep(block: Any, has_actuator: bool,
         errors.append(f"{path}.spacing: must be 'linear' or 'log', got {spacing!r}")
     if steps is not None and steps < 2:
         errors.append(f"{path}.steps: must be >= 2, got {steps}")
+    for key, value in ((from_key, start), (to_key, stop)):
+        if value is not None:
+            _check_bounds(path, key, value, errors,
+                          field=_PARAM_FIELD[parameter])
     if None not in (start, stop) and not start < stop:
         errors.append(f"{path}: need {from_key} < {to_key}, "
                       f"got {start!r} >= {stop!r}")
@@ -347,8 +351,8 @@ def _parse_sweep(block: Any, has_actuator: bool,
         errors.append(f"{path}: voltage sweep requires an actuator block")
     curves = None
     if "curves" in block:
-        curves = _parse_curves(block["curves"], f"{path}.curves", errors,
-                               forbidden_parameter=parameter)
+        curves = _parse_curves(block["curves"], f"{path}.curves", has_actuator,
+                               errors, forbidden_parameter=parameter)
     baseline = None
     if "baseline" in block:
         b = block["baseline"]
@@ -358,6 +362,8 @@ def _parse_sweep(block: Any, has_actuator: bool,
             errors.append(f"{path}.baseline: must map keys from "
                           f"{_BASELINE_KEYS} to numbers")
         else:
+            for k, v in b.items():
+                _check_bounds(f"{path}.baseline", k, v, errors)
             baseline = tuple((k, float(v)) for k, v in b.items())
     if None in (start, stop, steps) or spacing not in ("linear", "log"):
         return None

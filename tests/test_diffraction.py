@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -237,3 +238,38 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+NUMPY_FREE_RUNS = """
+import sys
+import ris_vlc, ris_vlc.cli
+from ris_vlc.runner import bundled_scenario_path
+design, out = sys.argv[1:]
+runs = [("sweep", bundled_scenario_path("fig2-left")),
+        ("bench", bundled_scenario_path("table1")), ("design", design)]
+codes = [ris_vlc.cli.main([command, "--scenario", str(path), "--out", out,
+                           "--quiet"]) for command, path in runs]
+print(codes, "numpy" in sys.modules)
+profile = bundled_scenario_path("fig3-left")
+print(ris_vlc.cli.main(["eval", "--scenario", str(profile), "--out", out,
+                        "--quiet"]), "numpy" in sys.modules)
+"""
+
+
+def test_numpy_is_imported_only_to_sample_a_profile(tmp_path):
+    design = tmp_path / "dz.json"
+    design.write_text(json.dumps({
+        "geometry": {"slit_um": 4.0, "depth_mm": 0.75, "pd_length_mm": 1.0,
+                     "n_ris": 1.5},
+        "wave": {"wavelength_nm": 550.0, "incidence_deg": 0.0, "order": 0},
+        "design": {"kind": "spot_width", "value_mm": 0.184, "free": "depth"}}))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    lines = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUNS, str(design), str(out)],
+        check=True, env=env, capture_output=True, text=True).stdout.splitlines()
+    assert lines == ["[0, 0, 0] False", "0 True"]
+    assert (out / "fig2-left_sweep.csv").exists()
+    assert (out / "table1_bench.csv").exists()
+    assert (out / "dz_design.csv").exists()
+    assert (out / "fig3-left_profile.csv").stat().st_size > 0

@@ -7,8 +7,9 @@ import pytest
 from ris_vlc.diffraction import pattern_power_fraction
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, Wavelength)
-from ris_vlc.radiometry import (SweepPoint, sweep_to_csv, transmittance,
-                                tuning_gain, wavelength_sweep)
+from ris_vlc.radiometry import transmittance, tuning_gain
+from ris_vlc.runner import run
+from ris_vlc.scenario import ScenarioError, scenario_from_dict
 
 TAN_HORIZON = math.tan(math.radians(89.9))
 
@@ -146,65 +147,91 @@ class TestTuningGain:
             tuning_gain(ok, bad, w)
 
 
-class TestWavelengthSweep:
-    def test_two_steps_hits_endpoints(self):
-        points = wavelength_sweep(geom(), wave(), (400.0, 800.0), 2)
-        assert [p.wavelength_nm for p in points] == [400.0, 800.0]
-        assert all(p.error is None for p in points)
+def sweep_rows(tmp_path, g, w, from_nm, to_nm, steps, **extra):
+    """Rows of the wavelength sweep that ``runner.run`` writes for this
+    geometry and wave, as dicts of the CSV's cells."""
+    sc = scenario_from_dict({
+        "geometry": {"slit_um": g.slit_um, "depth_mm": g.depth_mm,
+                     "pd_length_mm": g.pd_length_mm, "n_ris": g.n_ris},
+        "wave": {"wavelength_nm": w.wavelength.nanometres,
+                 "incidence_deg": w.incidence.degrees, "order": w.order},
+        "sweep": {"parameter": "wavelength", "from_nm": from_nm,
+                  "to_nm": to_nm, "steps": steps, **extra}}, name="sweep")
+    report = run(sc, tmp_path, quiet=True)
+    header, *lines = report.artifacts[0].read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
-    def test_uniform_grid_inclusive(self):
-        points = wavelength_sweep(geom(), wave(), (400.0, 1000.0), 7)
-        lams = [p.wavelength_nm for p in points]
+
+class TestWavelengthSweep:
+    """The wavelength sweep as ``runner.run`` executes a sweep scenario."""
+
+    def test_two_steps_hits_endpoints(self, tmp_path):
+        rows = sweep_rows(tmp_path, geom(), wave(), 400.0, 800.0, 2)
+        assert [float(r["wavelength_nm"]) for r in rows] == [400.0, 800.0]
+        assert all(r["error"] == "" for r in rows)
+
+    def test_uniform_grid_inclusive(self, tmp_path):
+        rows = sweep_rows(tmp_path, geom(), wave(), 400.0, 1000.0, 7)
+        lams = [float(r["wavelength_nm"]) for r in rows]
         assert lams == pytest.approx([400, 500, 600, 700, 800, 900, 1000])
 
-    def test_values_bounded_and_finite(self):
-        for p in wavelength_sweep(geom(pd=0.01), wave(order=1), (400.0, 1000.0), 13):
-            assert p.result is not None
-            assert 0.0 <= p.result.value <= 1.0
-            assert math.isfinite(p.result.value)
+    def test_values_bounded_and_finite(self, tmp_path):
+        rows = sweep_rows(tmp_path, geom(pd=0.01), wave(order=1),
+                          400.0, 1000.0, 13)
+        assert len(rows) == 13
+        for r in rows:
+            assert r["error"] == ""
+            value = float(r["transmittance"])
+            assert 0.0 <= value <= 1.0
+            assert math.isfinite(value)
 
-    def test_errors_recorded_in_place(self):
+    def test_errors_recorded_in_place(self, tmp_path):
         # at grazing incidence the first order goes evanescent from 1600 nm
         g = SteeringGeometry(slit_um=4.0, depth_mm=1.0, pd_length_mm=0.1,
                              n_ris=1.4)
         w = wave(lam=550, inc=90, order=1)
-        points = wavelength_sweep(g, w, (1500.0, 1700.0), 5)
-        status = [p.error is None for p in points]
-        assert status == [True, True, False, False, False]
-        assert "EvanescentOrder" in points[-1].error
+        rows = sweep_rows(tmp_path, g, w, 1500.0, 1700.0, 5)
+        assert [r["error"] == "" for r in rows] == \
+            [True, True, False, False, False]
+        assert rows[-1]["error"] == "EvanescentOrder"
 
-    def test_log_spacing(self):
-        points = wavelength_sweep(geom(), wave(), (400.0, 1600.0), 3,
-                                  spacing="log")
-        assert points[1].wavelength_nm == pytest.approx(800.0, rel=1e-12)
-        with pytest.raises(ValueError):
-            wavelength_sweep(geom(), wave(), (400.0, 800.0), 3, spacing="cubic")
+    def test_log_spacing(self, tmp_path):
+        rows = sweep_rows(tmp_path, geom(), wave(), 400.0, 1600.0, 3,
+                          spacing="log")
+        assert float(rows[1]["wavelength_nm"]) == pytest.approx(800.0, rel=1e-12)
+        with pytest.raises(ScenarioError):
+            sweep_rows(tmp_path, geom(), wave(), 400.0, 800.0, 3,
+                       spacing="cubic")
 
-    def test_band_and_steps_guards(self):
-        with pytest.raises(ValueError):
-            wavelength_sweep(geom(), wave(), (400.0, 800.0), 1)
-        with pytest.raises(ValueError):
-            wavelength_sweep(geom(), wave(), (100.0, 800.0), 3)
+    def test_band_and_steps_guards(self, tmp_path):
+        with pytest.raises(ScenarioError):
+            sweep_rows(tmp_path, geom(), wave(), 400.0, 800.0, 1)
+        with pytest.raises(ScenarioError):
+            sweep_rows(tmp_path, geom(), wave(), 100.0, 800.0, 3)
 
-    def test_depth_curves_spread_shrinks_at_long_wavelengths(self):
+    def test_depth_curves_spread_shrinks_at_long_wavelengths(self, tmp_path):
         # depth curves pull together toward the top of the band
         depths = (0.2, 0.4, 0.6, 0.8, 1.0)
-        sweeps = {y: wavelength_sweep(geom(depth=y, pd=0.01), wave(order=1),
-                                      (400.0, 1000.0), 13)
-                  for y in depths}
+        rows = sweep_rows(tmp_path, geom(pd=0.01), wave(order=1),
+                          400.0, 1000.0, 13,
+                          curves={"depth_mm": list(depths)})
+        assert [float(r["depth_mm"]) for r in rows[::13]] == list(depths)
         spreads = []
         for i in range(13):
-            vals = [sweeps[y][i].result.value for y in depths]
+            vals = [float(r["transmittance"]) for r in rows[i::13]]
             spreads.append(max(vals) - min(vals))
         assert all(b < a for a, b in zip(spreads, spreads[1:]))
 
     def test_csv_output(self, tmp_path):
-        points = wavelength_sweep(geom(), wave(), (400.0, 500.0), 3)
-        points.append(SweepPoint(600.0, None, "EvanescentOrder: test"))
-        path = tmp_path / "sweep.csv"
-        sweep_to_csv(points, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == \
-            "wavelength_nm,transmittance,incidence_factor,captured_power_w"
-        assert len(lines) == 5
-        assert lines[-1] == "600,,,"
+        g = SteeringGeometry(slit_um=4.0, depth_mm=1.0, pd_length_mm=0.1,
+                             n_ris=1.4)
+        sweep_rows(tmp_path, g, wave(lam=550, inc=90, order=1),
+                   1500.0, 1700.0, 5)
+        lines = (tmp_path / "sweep_sweep.csv").read_text().splitlines()
+        assert lines[0] == (
+            "wavelength_nm,refraction_angle_deg,first_null_angle_deg,"
+            "full_width_mm,pd_coverage,transmittance,incidence_factor,"
+            "captured_power_w,error")
+        assert len(lines) == 6
+        assert lines[1].startswith("1500,") and lines[1].endswith(",")
+        assert lines[-1] == "1700,,,,,,,,EvanescentOrder"

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ris_vlc.cli import main
-from ris_vlc.runner import (_CELL, _template, _write_csv,
-                            bundled_scenario_names, bundled_scenario_path,
-                            run)
+from ris_vlc.cli import _build_parser, main
+from ris_vlc.runner import (_BLOCK_ROWS, _CELL, _profile_blocks, _template,
+                            _write_csv, bundled_scenario_names,
+                            bundled_scenario_path, run)
 from ris_vlc.scenario import CURVE_KEYS, load_scenario, scenario_from_dict
 
 
@@ -230,6 +230,59 @@ class TestCli:
         assert any(where in v for v in record["violations"])
         assert not out.exists()
 
+    @pytest.mark.parametrize("block, key", [("geometry", "slit_um"),
+                                            ("geometry", "pd_length_mm"),
+                                            ("wave", "power_w")])
+    def test_infinite_field_is_validation_error(self, tmp_path, capsys,
+                                                block, key):
+        data = minimal()
+        data[block][key] = math.inf  # json writes Infinity, which json reads
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        code = main(["eval", "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ScenarioError"
+        assert any(f"{block}.{key}: must be finite" in v
+                   for v in record["violations"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("curves, where", [
+        ({"voltage_v": [1.0]}, "sweep.curves: voltage curve requires an actuator"),
+        ({"depth_mm": [-1.0]}, "sweep.curves.depth_mm[0]"),
+    ])
+    def test_invalid_sweep_curves_are_validation_errors(
+            self, tmp_path, capsys, curves, where):
+        data = minimal()
+        data["sweep"] = {"parameter": "wavelength", "from_nm": 400.0,
+                         "to_nm": 800.0, "steps": 3, "curves": curves}
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        code = main(["sweep", "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ScenarioError"
+        assert any(where in v for v in record["violations"])
+        assert not out.exists()
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        data = minimal()
+        eval_path = write_scenario(tmp_path, data, name="single")
+        data["sweep"] = {"parameter": "wavelength", "from_nm": 400.0,
+                         "to_nm": 800.0, "steps": 3}
+        sweep_path = write_scenario(tmp_path, data, name="sw")
+        assert main(["eval", "--scenario", str(eval_path), "--out",
+                     str(tmp_path / "a"), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["sweep", "--out", str(tmp_path / "b"),
+                     "--scenario", str(sweep_path)]) == 0
+        assert capsys.readouterr().out == "sw_sweep.csv: 3 rows\n"
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+            ["single.meta.json", "single_summary.csv"]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == \
+            ["sw.meta.json", "sw_sweep.csv"]
+        assert _build_parser() is _build_parser()
+
 
 AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e22, 0.1,
            np.float64(1 / 3), np.float64(-2.5e-300), 7]
@@ -267,6 +320,18 @@ class TestCsvWriter:
         _write_csv(tmp_path / "new.csv", header, iter(lines))
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("prefix", ["", _CELL % 0.75 + ","])
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                      _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    def test_profile_blocks_match_per_row_format(self, prefix, rows):
+        values = (AWKWARD * (2 * rows // len(AWKWARD) + 1))[:2 * rows]
+        positions, intensities = values[0::2], values[1::2]
+        want = "".join(f"{prefix}{format(u, '.17g')},{format(i, '.17g')}\n"
+                       for u, i in zip(positions, intensities))
+        blocks = list(_profile_blocks(prefix, positions, intensities))
+        assert len(blocks) == -(-rows // _BLOCK_ROWS)
+        assert "".join(blocks) == want
 
 
 _ACTUATORS = [None, {"preset": "lc-sun2019"},

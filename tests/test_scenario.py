@@ -118,6 +118,27 @@ class TestBlockValidation:
         errs = errors_of(data)
         assert any("duplicates the sweep parameter" in e for e in errs)
 
+    @pytest.mark.parametrize("parameter, bounds, where", [
+        ("wavelength", {"from_nm": 100.0, "to_nm": 800.0}, "sweep.from_nm"),
+        ("n_ris", {"from_index": 1.2, "to_index": 3.0}, "sweep.to_index"),
+        ("depth", {"from_mm": 0.0, "to_mm": 1.0}, "sweep.from_mm"),
+        ("incidence", {"from_deg": 0.0, "to_deg": 95.0}, "sweep.to_deg"),
+    ])
+    def test_sweep_range_within_field_bounds(self, parameter, bounds, where):
+        data = minimal()
+        data["sweep"] = {"parameter": parameter, "steps": 5, **bounds}
+        errs = errors_of(data)
+        assert any(e.startswith(f"{where}: must") for e in errs)
+
+    def test_sweep_baseline_within_field_bounds(self):
+        data = minimal()
+        data["sweep"] = {"parameter": "wavelength", "from_nm": 400.0,
+                         "to_nm": 800.0, "steps": 5,
+                         "baseline": {"slit_um": -4.0, "n_ris": 1.9}}
+        errs = errors_of(data)
+        assert errs == ["sweep.baseline.slit_um: must be finite and > 0, "
+                        "got -4"]
+
     def test_voltage_sweep_requires_actuator(self):
         data = minimal()
         data["sweep"] = {"parameter": "voltage", "from_v": 0.0, "to_v": 5.0,
