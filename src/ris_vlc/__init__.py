@@ -4,8 +4,8 @@ refractive front-ends in visible-light receivers."""
 __version__ = "0.1.0"
 
 from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
-                     TotalInternalReflection, Wavelength,
-                     max_propagating_order, refraction_angle, snell_angle)
+                     TotalInternalReflection, Wavelength, refraction_angle,
+                     snell_angle)
 from .diffraction import (IntensityProfile, NullBeyondHorizon, SpotReport,
                           first_null_angle, fraunhofer_relative_intensity,
                           medium_wavelength_nm, pattern_power_fraction,
@@ -14,14 +14,13 @@ from .radiometry import (TransmittanceResult, TuningGain, transmittance,
                          tuning_gain)
 from .tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                      MetaLensActuator, NonMonotonic, OutOfMaterialRange,
-                     actuator_preset, lc_apply, metalens_apply,
+                     actuator_preset, drive_map, lc_apply, metalens_apply,
                      solve_depth_for_spot, solve_index_for_angle, solve_voltage)
 from .bench import (FrontEndSummary, ReceiverFrontEnd, RotationSweepResult,
-                    compare_table, default_front_end, default_roster, detect,
-                    format_table, rotation_sweep, table_to_csv)
+                    compare_table, default_front_end, detect, format_table,
+                    rotation_sweep, table_to_csv)
 from .scenario import (BenchSpec, ProfileSpec, Scenario, ScenarioError,
-                       SweepSpec, load_scenario, scenario_from_dict,
-                       scenario_to_dict)
+                       SweepSpec, load_scenario, scenario_from_dict)
 from .runner import RunReport, run, run_bundled
 
 __all__ = [name for name in dir() if not name.startswith("_")]

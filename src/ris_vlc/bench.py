@@ -20,8 +20,7 @@ from .optics import Angle, EvanescentOrder, IncidentWave, SteeringGeometry, Wave
 from .radiometry import transmittance
 from .diffraction import steering_offset_mm
 from .tuning import (Actuator, DesignTarget, Infeasible, MetaLensActuator,
-                     NonMonotonic, actuator_preset, lc_apply, metalens_apply,
-                     solve_voltage)
+                     NonMonotonic, actuator_preset, drive_map, solve_voltage)
 
 __all__ = [
     "KINDS",
@@ -30,7 +29,6 @@ __all__ = [
     "RotationSweepResult",
     "FrontEndSummary",
     "default_front_end",
-    "default_roster",
     "detect",
     "rotation_sweep",
     "compare_table",
@@ -166,10 +164,6 @@ def default_front_end(kind: str) -> ReceiverFrontEnd:
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def default_roster() -> list[ReceiverFrontEnd]:
-    return [default_front_end(k) for k in KINDS]
-
-
 def _cmbbp_rolloff(fe: ReceiverFrontEnd, deg: float) -> float:
     start = fe.rolloff_start.degrees
     edge = fe.max_incidence.degrees
@@ -180,32 +174,19 @@ def _cmbbp_rolloff(fe: ReceiverFrontEnd, deg: float) -> float:
 
 def _detect_ris(fe: ReceiverFrontEnd, rotation: Angle) -> tuple[bool, float]:
     wave = IncidentWave(Wavelength(fe.wavelength_nm), rotation, order=1)
-    act = fe.actuator
-    if isinstance(act, MetaLensActuator):
-        base = fe.geometry or act.base_geometry
-        if fe.geometry is not None:
-            act = MetaLensActuator(act.v_max_v, act.stretch_max, fe.geometry)
-        v_rest, v_full = 0.0, act.v_max_v
-        apply = lambda v: metalens_apply(act, v)
-        target_geometry = None
-    else:
-        base = fe.geometry
-        v_rest, v_full = act.v_on_v, act.v_sat_v
-        apply = lambda v: lc_apply(act, v, base)
-        target_geometry = base
-    half = base.pd_length_mm / 2
+    apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
+    state = apply(v_rest)
+    half = state.pd_length_mm / 2
     try:
-        landing_rest = steering_offset_mm(apply(v_rest), wave)
+        landing_rest = steering_offset_mm(state, wave)
         landing_full = steering_offset_mm(apply(v_full), wave)
         if landing_full > half + 1e-12:
             return (False, 0.0)  # not steerable onto the detector
-        if landing_rest <= half:
-            v = v_rest
-        else:
-            target = DesignTarget("pd_landing", half, wave, target_geometry,
+        if landing_rest > half:
+            target = DesignTarget("pd_landing", half, wave, fe.geometry,
                                   "voltage")
-            v = solve_voltage(target, act)
-        return (True, transmittance(apply(v), wave).value)
+            state = apply(solve_voltage(target, fe.actuator))
+        return (True, transmittance(state, wave).value)
     except (EvanescentOrder, Infeasible, NonMonotonic):
         return (False, 0.0)
 

@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None,
                        help="output directory (default: RIS_VLC_OUT or ./out)")
-        p.add_argument("--format", default="csv", choices=["csv"],
-                       help="artifact format")
         p.add_argument("--quiet", action="store_true",
                        help="suppress per-artifact summary lines")
 

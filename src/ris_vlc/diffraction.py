@@ -100,13 +100,16 @@ class IntensityProfile:
 class SpotReport:
     """Central-lobe geometry on the detector plane.
 
-    ``full_width_mm`` is +inf when the first null does not exist (the
-    lobe fills the half-space); ``pd_coverage`` is still computed then.
+    ``full_width_mm`` is +inf and ``first_null_angle`` 90 deg when the
+    first null does not exist (the lobe fills the half-space);
+    ``pd_coverage`` is still computed then.  ``steering_angle`` is the
+    refraction angle of the pattern centre.
     """
 
     full_width_mm: float
     first_null_angle: Angle
     pd_coverage: float
+    steering_angle: Angle
 
     def __post_init__(self) -> None:
         if not self.full_width_mm > 0:
@@ -181,8 +184,9 @@ def profile_on_pd(
 
 
 def spot_report(geom: SteeringGeometry, wave: IncidentWave) -> SpotReport:
-    """Central-lobe width, first-null angle and detector coverage."""
-    refraction_angle(geom, wave)  # configured order must propagate
+    """Central-lobe width, first-null angle, detector coverage and
+    steering angle."""
+    theta = refraction_angle(geom, wave)  # configured order must propagate
     try:
         null = first_null_angle(geom, wave)
         width = 2.0 * geom.depth_mm * math.tan(null.radians)
@@ -191,7 +195,7 @@ def spot_report(geom: SteeringGeometry, wave: IncidentWave) -> SpotReport:
         width = math.inf
     coverage = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
     return SpotReport(full_width_mm=width, first_null_angle=null,
-                      pd_coverage=coverage)
+                      pd_coverage=coverage, steering_angle=theta)
 
 
 # Si(x) switches from its power series to the continued fraction of

@@ -25,7 +25,6 @@ __all__ = [
     "IncidentWave",
     "refraction_angle",
     "snell_angle",
-    "max_propagating_order",
     "WAVELENGTH_BAND_NM",
     "INDEX_RANGE",
 ]
@@ -151,12 +150,6 @@ class IncidentWave:
                  f"order must be one of 0..3, got {self.order!r}")
 
 
-def _steering_sine(geom: SteeringGeometry, wave: IncidentWave, order: int) -> float:
-    """sin(theta_out) for the given order; may exceed 1 (evanescent)."""
-    grating_term = order * wave.wavelength.nanometres / (geom.slit_um * 1e3)
-    return (geom.n_air * math.sin(wave.incidence.radians) + grating_term) / geom.n_ris
-
-
 def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
     """Steered propagation angle of ``wave.order`` inside the slab.
 
@@ -164,7 +157,8 @@ def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
         EvanescentOrder: the order's tangential component is too large to
             propagate (sine argument >= 1).
     """
-    s = _steering_sine(geom, wave, wave.order)
+    grating_term = wave.order * wave.wavelength.nanometres / (geom.slit_um * 1e3)
+    s = (geom.n_air * math.sin(wave.incidence.radians) + grating_term) / geom.n_ris
     if s >= 1.0:
         raise EvanescentOrder(
             f"order {wave.order} is evanescent: sine argument {s:.6g} >= 1 "
@@ -195,15 +189,3 @@ def snell_angle(n_in: float, n_out: float, theta_in: Angle) -> Angle:
             f"(theta_in={theta_in.degrees:.6g} deg, n_in={n_in:g}, n_out={n_out:g})")
     return Angle(math.asin(s))
 
-
-def max_propagating_order(geom: SteeringGeometry, wave: IncidentWave) -> int:
-    """Largest order that still propagates for this geometry and wave.
-
-    -1 in the degenerate corner where even the zeroth order is evanescent
-    (only possible when n_air * sin(theta_in) >= n_ris).  The wave's own
-    ``order`` field is ignored.
-    """
-    m = 0
-    while _steering_sine(geom, wave, m) < 1.0:
-        m += 1
-    return m - 1

@@ -12,7 +12,6 @@ come only from validated vocabularies, so no cell needs quoting.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -21,15 +20,14 @@ from typing import Iterable
 
 from . import __version__
 from .bench import compare_table, default_front_end, format_table, table_to_csv
-from .diffraction import (NullBeyondHorizon, first_null_angle, profile_on_pd,
-                          pattern_power_fraction)
+from .diffraction import profile_on_pd, spot_report
 from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
-                     Wavelength, refraction_angle)
+                     Wavelength)
 from .radiometry import TransmittanceResult, transmittance
-from .scenario import Scenario, SweepSpec, load_scenario
-from .tuning import (Actuator, LiquidCrystalActuator, MetaLensActuator,
-                     lc_apply, metalens_apply, solve_depth_for_spot,
-                     solve_index_for_angle, solve_voltage)
+from .scenario import _PARAM_FIELD, Scenario, SweepSpec, load_scenario
+from .tuning import (Actuator, _evaluate_metric, drive_map,
+                     solve_depth_for_spot, solve_index_for_angle,
+                     solve_voltage)
 
 __all__ = ["RunReport", "run", "run_bundled", "bundled_scenario_names",
            "bundled_scenario_path"]
@@ -39,10 +37,6 @@ _ROW_ERRORS = (EvanescentOrder, ValueError)
 _METRIC_COLUMNS = ["refraction_angle_deg", "first_null_angle_deg",
                    "full_width_mm", "pd_coverage", "transmittance",
                    "incidence_factor", "captured_power_w"]
-
-_PARAM_COLUMN = {"wavelength": "wavelength_nm", "n_ris": "n_ris",
-                 "depth": "depth_mm", "incidence": "incidence_deg",
-                 "voltage": "voltage_v"}
 
 
 @dataclass(frozen=True)
@@ -123,36 +117,24 @@ def _write_csv(path: str | Path, header: list[str], lines: Iterable[str]) -> Non
 def _apply_override(key: str, value: float, geom: SteeringGeometry,
                     wave: IncidentWave, actuator: Actuator | None
                     ) -> tuple[SteeringGeometry, IncidentWave]:
-    if key in ("wavelength", "wavelength_nm"):
+    """The state with the field ``key`` (a value of ``_PARAM_FIELD``) set
+    to ``value``; ``voltage_v`` drives the actuator over ``geom``."""
+    if key == "wavelength_nm":
         return geom, replace(wave, wavelength=Wavelength(value))
-    if key in ("incidence", "incidence_deg"):
+    if key == "incidence_deg":
         return geom, replace(wave, incidence=Angle.from_degrees(value))
-    if key == "n_ris":
-        return replace(geom, n_ris=value), wave
-    if key in ("depth", "depth_mm"):
-        return replace(geom, depth_mm=value), wave
-    if key in ("voltage", "voltage_v"):
-        if isinstance(actuator, MetaLensActuator):
-            return metalens_apply(replace(actuator, base_geometry=geom), value), wave
-        if isinstance(actuator, LiquidCrystalActuator):
-            return lc_apply(actuator, value, geom), wave
-        raise ValueError("voltage override requires an actuator")
-    raise ValueError(f"unknown override key {key!r}")
+    if key == "voltage_v":
+        apply, _, _ = drive_map(actuator, geom)
+        return apply(value), wave
+    return replace(geom, **{key: value}), wave
 
 
 def _metric_values(geom: SteeringGeometry, wave: IncidentWave
                    ) -> tuple[list[float], TransmittanceResult]:
-    theta = refraction_angle(geom, wave)
-    try:
-        null = first_null_angle(geom, wave)
-        width = 2.0 * geom.depth_mm * math.tan(null.radians)
-        null_deg = null.degrees
-    except NullBeyondHorizon:
-        width = math.inf
-        null_deg = 90.0
-    coverage = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
-    tr = transmittance(geom, wave, capture=coverage)
-    return [theta.degrees, null_deg, width, coverage, tr.value,
+    spot = spot_report(geom, wave)
+    tr = transmittance(geom, wave, capture=spot.pd_coverage)
+    return [spot.steering_angle.degrees, spot.first_null_angle.degrees,
+            spot.full_width_mm, spot.pd_coverage, tr.value,
             tr.incidence_factor, tr.captured_power_w], tr
 
 
@@ -169,8 +151,9 @@ def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
     spec = sc.sweep
     grid = _sweep_grid(spec)
     curve_key, curve_values = spec.curves or (None, (None,))
+    key = _PARAM_FIELD[spec.parameter]
 
-    header = ([curve_key] if curve_key else []) + [_PARAM_COLUMN[spec.parameter]]
+    header = ([curve_key] if curve_key else []) + [key]
     header += _METRIC_COLUMNS + (["tuning_gain"] if spec.baseline else []) + ["error"]
 
     lines: list[str] = []
@@ -182,8 +165,7 @@ def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
                 geom, wave = sc.geometry, sc.wave
                 if cv is not None:
                     geom, wave = _apply_override(curve_key, cv, geom, wave, sc.actuator)
-                geom, wave = _apply_override(spec.parameter, pv, geom, wave,
-                                             sc.actuator)
+                geom, wave = _apply_override(key, pv, geom, wave, sc.actuator)
                 values, tr = _metric_values(geom, wave)
                 if spec.baseline is not None:
                     base_geom = replace(geom, **dict(spec.baseline))
@@ -235,32 +217,21 @@ def _run_design(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
         solved = solve_index_for_angle(wave, geom.slit_um,
                                        Angle.from_degrees(target.value),
                                        n_air=geom.n_air)
-        solved_col = "solved_n_ris"
-        achieved = refraction_angle(replace(geom, n_ris=solved), wave).degrees
+        state = replace(geom, n_ris=solved)
     elif target.free == "depth":
         solved = solve_depth_for_spot(geom.slit_um, geom.n_ris, wave,
                                       target.value, n_air=geom.n_air)
-        solved_col = "solved_depth_mm"
-        probe = replace(geom, depth_mm=solved)
-        achieved = 2.0 * solved * math.tan(first_null_angle(probe, wave).radians)
+        state = replace(geom, depth_mm=solved)
     else:
         solved = solve_voltage(target, sc.actuator)
-        solved_col = "solved_voltage_v"
-        if isinstance(sc.actuator, MetaLensActuator):
-            state = metalens_apply(replace(sc.actuator, base_geometry=geom), solved)
-        else:
-            state = lc_apply(sc.actuator, solved, geom)
-        if target.kind == "refraction_angle":
-            achieved = refraction_angle(state, wave).degrees
-        elif target.kind == "spot_width":
-            achieved = 2.0 * state.depth_mm * math.tan(
-                first_null_angle(state, wave).radians)
-        else:
-            achieved = state.depth_mm * math.tan(refraction_angle(state, wave).radians)
+        apply, _, _ = drive_map(sc.actuator, geom)
+        state = apply(solved)
+    achieved = _evaluate_metric(target.kind, state, wave)
     unit = "deg" if target.kind == "refraction_angle" else "mm"
     path = out_dir / f"{sc.name}_design.csv"
     _write_csv(path,
-               ["kind", "free", f"target_{unit}", solved_col, f"achieved_{unit}"],
+               ["kind", "free", f"target_{unit}",
+                f"solved_{_PARAM_FIELD[target.free]}", f"achieved_{unit}"],
                [_template(3, f"{target.kind},{target.free},")
                 % (target.value, solved, achieved)])
     return path, f"{path.name}: {target.free} = {solved:.9g}"

@@ -34,7 +34,6 @@ __all__ = [
     "Scenario",
     "load_scenario",
     "scenario_from_dict",
-    "scenario_to_dict",
 ]
 
 _UNIT_SUFFIXES = ("_nm", "_um", "_mm", "_deg", "_v", "_w")
@@ -504,62 +503,3 @@ def load_scenario(path: str | Path) -> Scenario:
         ) from exc
     return scenario_from_dict(data, name=path.stem)
 
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize back to the scenario-file structure; re-loading the
-    result yields an equal Scenario."""
-    g, w = scenario.geometry, scenario.wave
-    out: dict[str, Any] = {
-        "name": scenario.name,
-        "geometry": {
-            "slit_um": g.slit_um, "depth_mm": g.depth_mm,
-            "pd_length_mm": g.pd_length_mm, "n_ris": g.n_ris, "n_air": g.n_air,
-        },
-        "wave": {
-            "wavelength_nm": w.wavelength.nanometres,
-            "incidence_deg": w.incidence.degrees,
-            "power_w": w.power_w, "order": w.order,
-        },
-    }
-    act = scenario.actuator
-    if isinstance(act, MetaLensActuator):
-        out["actuator"] = {"type": "metalens", "v_max_v": act.v_max_v,
-                           "stretch_max": act.stretch_max}
-    elif isinstance(act, LiquidCrystalActuator):
-        out["actuator"] = {"type": "lc", "v_on_v": act.v_on_v,
-                           "v_sat_v": act.v_sat_v, "n_base": act.n_base,
-                           "delta_n": act.delta_n}
-    if scenario.profile is not None:
-        p: dict[str, Any] = {"samples": scenario.profile.samples}
-        if scenario.profile.curves is not None:
-            key, values = scenario.profile.curves
-            p["curves"] = {key: list(values)}
-        out["profile"] = p
-    if scenario.sweep is not None:
-        s = scenario.sweep
-        suffix = _PARAM_SUFFIX[s.parameter]
-        block: dict[str, Any] = {
-            "parameter": s.parameter,
-            f"from_{suffix}": s.start, f"to_{suffix}": s.stop,
-            "steps": s.steps, "spacing": s.spacing,
-        }
-        if s.curves is not None:
-            key, values = s.curves
-            block["curves"] = {key: list(values)}
-        if s.baseline is not None:
-            block["baseline"] = dict(s.baseline)
-        out["sweep"] = block
-    if scenario.design is not None:
-        d = scenario.design
-        value_key = "value_deg" if d.kind == "refraction_angle" else "value_mm"
-        out["design"] = {"kind": d.kind, value_key: d.value, "free": d.free}
-    if scenario.bench is not None:
-        out["bench"] = {"front_ends": list(scenario.bench.front_ends),
-                        "step_deg": scenario.bench.step_deg}
-    return out
-
-
-# Incidence angles of exactly 90 deg survive the degree/radian round trip
-# (math.radians(90.0) == pi/2), so serialization preserves the grazing
-# special case.
-assert math.radians(90.0) == math.pi / 2

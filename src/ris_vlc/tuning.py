@@ -9,6 +9,11 @@ stated monotone proportionality) and clamp outside their active interval:
   * liquid-crystal cell: n(v) ramps linearly from n_base at the threshold
     voltage to n_base + delta_n at saturation, geometry unchanged.
 
+``drive_map`` is the one place that tells the two actuators apart: it
+returns an actuator's drive-to-geometry map over a base slab together
+with its active drive interval, for voltage solves, voltage sweeps and
+the rotation bench alike.
+
 Inverse solvers either use the closed form (index, depth) or bisect the
 forward pipeline over the drive interval (voltage), exploiting the
 monotonicity of the maps.
@@ -35,6 +40,7 @@ __all__ = [
     "DesignTarget",
     "metalens_apply",
     "lc_apply",
+    "drive_map",
     "solve_index_for_angle",
     "solve_depth_for_spot",
     "solve_voltage",
@@ -167,6 +173,29 @@ def lc_apply(
     return replace(base, n_ris=act.n_base + level * act.delta_n)
 
 
+def drive_map(
+    actuator: Actuator, base: SteeringGeometry | None = None
+) -> tuple[Callable[[float], SteeringGeometry], float, float]:
+    """(apply, v_lo, v_hi): the geometry at a drive voltage and the active
+    drive interval, [0, v_max] for the meta-lens and [v_on, v_sat] for
+    the liquid-crystal cell.
+
+    ``base`` is the slab at rest.  It replaces the meta-lens's own base
+    geometry (resolved here, once, not per drive) and is required for the
+    liquid-crystal cell.
+    """
+    if isinstance(actuator, MetaLensActuator):
+        if base is not None:
+            actuator = replace(actuator, base_geometry=base)
+        return lambda v: metalens_apply(actuator, v), 0.0, actuator.v_max_v
+    if not isinstance(actuator, LiquidCrystalActuator):
+        raise ValueError(f"voltage drive requires an actuator, got {actuator!r}")
+    if base is None:
+        raise ValueError("liquid-crystal drive requires a base geometry")
+    return (lambda v: lc_apply(actuator, v, base),
+            actuator.v_on_v, actuator.v_sat_v)
+
+
 def solve_index_for_angle(
     wave: IncidentWave,
     slit_um: float,
@@ -280,19 +309,8 @@ def solve_voltage(
     kind) over [0, v_max] for the meta-lens or [v_on, v_sat] for the
     liquid-crystal cell.
     """
-    if isinstance(actuator, MetaLensActuator):
-        if target.geometry is not None:
-            actuator = replace(actuator, base_geometry=target.geometry)
-        forward = lambda v: _evaluate_metric(
-            target.kind, metalens_apply(actuator, v), target.wave)
-        lo, hi = 0.0, actuator.v_max_v
-    else:
-        if target.geometry is None:
-            raise ValueError(
-                "liquid-crystal voltage solve requires the target geometry")
-        forward = lambda v: _evaluate_metric(
-            target.kind, lc_apply(actuator, v, target.geometry), target.wave)
-        lo, hi = actuator.v_on_v, actuator.v_sat_v
+    apply, lo, hi = drive_map(actuator, target.geometry)
+    forward = lambda v: _evaluate_metric(target.kind, apply(v), target.wave)
     return _bisect_monotone(forward, lo, hi, target.value,
                             rel_tol=rel_tol, max_steps=max_steps)
 

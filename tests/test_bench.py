@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from ris_vlc.bench import (KINDS, RIS_KINDS, ReceiverFrontEnd,
-                           compare_table, default_front_end, default_roster,
-                           detect, format_table, rotation_sweep, table_to_csv)
-from ris_vlc.optics import Angle
+                           compare_table, default_front_end, detect,
+                           format_table, rotation_sweep, table_to_csv)
+from ris_vlc.optics import Angle, SteeringGeometry
 
 
 def deg(value):
@@ -30,9 +31,8 @@ class TestFrontEndConstruction:
         with pytest.raises(ValueError):
             ReceiverFrontEnd("lc_ris", deg(90.0), 0.1, True)
 
-    def test_default_roster_covers_all_kinds(self):
-        roster = default_roster()
-        assert [fe.kind for fe in roster] == list(KINDS)
+    def test_every_kind_has_a_default_front_end(self):
+        assert [default_front_end(k).kind for k in KINDS] == list(KINDS)
 
 
 class TestDetect:
@@ -108,6 +108,15 @@ class TestRotationSweep:
         with pytest.raises(ValueError):
             rotation_sweep(fe, 91.0)
 
+    def test_metalens_geometry_replaces_actuator_base(self):
+        fe = default_front_end("metalens_ris")
+        slab = SteeringGeometry(slit_um=80.0, depth_mm=0.6, pd_length_mm=0.8,
+                                n_ris=1.7)
+        sweep = rotation_sweep(replace(fe, geometry=slab), 5.0)
+        rebased = replace(fe, actuator=replace(fe.actuator, base_geometry=slab))
+        assert sweep == rotation_sweep(rebased, 5.0)
+        assert sweep != rotation_sweep(fe, 5.0)
+
     def test_intensity_peaks_at_zero(self):
         for kind in ("convex", "cmbbp", "lc_ris"):
             sweep = rotation_sweep(default_front_end(kind), 10.0)
@@ -116,7 +125,7 @@ class TestRotationSweep:
 
 class TestCompareTable:
     def test_envelope_ordering(self):
-        rows = compare_table(default_roster(), 1.0)
+        rows = compare_table([default_front_end(k) for k in KINDS], 1.0)
         by_kind = {r.kind: r.max_detected_deg for r in rows}
         assert by_kind["convex"] < by_kind["gilcpc"] < by_kind["spherical"] \
             < by_kind["cmbbp"] < by_kind["metalens_ris"]

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, TotalInternalReflection,
-                            Wavelength, max_propagating_order,
-                            refraction_angle, snell_angle)
+                            Wavelength, refraction_angle, snell_angle)
 
 
 def geom(slit=4.0, depth=0.75, pd=1.0, n=1.4, n_air=1.0):
@@ -100,6 +99,14 @@ class TestSnellAngle:
             snell_angle(0.9, 1.5, Angle.from_degrees(10.0))
 
 
+def max_order(slit, inc, n, lam):
+    """Brute-force oracle: increment m until the sine argument reaches 1."""
+    m = 0
+    while (math.sin(math.radians(inc)) + m * lam / (slit * 1e3)) / n < 1.0:
+        m += 1
+    return m - 1
+
+
 class TestMaxPropagatingOrder:
     @pytest.mark.parametrize("slit,inc,n,lam,expected", [
         (4.0, 0.0, 1.5, 600.0, 9),
@@ -107,20 +114,18 @@ class TestMaxPropagatingOrder:
         (0.4, 90.0, 1.1, 800.0, 0),
     ])
     def test_brute_force_values(self, slit, inc, n, lam, expected):
-        # oracle: increment m until the sine argument reaches 1
-        m, s = 0, 0.0
-        while True:
-            s = (math.sin(math.radians(inc)) + m * lam / (slit * 1e3)) / n
-            if s >= 1.0:
-                break
-            m += 1
-        assert m - 1 == expected
-        assert max_propagating_order(geom(slit=slit, n=n),
-                                     wave(lam=lam, inc=inc)) == expected
+        assert max_order(slit, inc, n, lam) == expected
+        for m in range(0, 4):
+            w_m = wave(lam=lam, inc=inc, order=m)
+            if m <= expected:
+                refraction_angle(geom(slit=slit, n=n), w_m)
+            else:
+                with pytest.raises(EvanescentOrder):
+                    refraction_angle(geom(slit=slit, n=n), w_m)
 
     def test_evanescent_exactly_when_order_exceeds_max(self):
         g, w = geom(n=1.4), wave(lam=300)
-        top = max_propagating_order(g, w)
+        top = max_order(4.0, 90.0, 1.4, 300.0)
         for m in range(0, 4):
             w_m = wave(lam=300, order=m)
             if m <= top:

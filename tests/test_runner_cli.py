@@ -420,17 +420,23 @@ class TestProfileRows:
         assert got == want
 
 
-GOLDEN = Path(__file__).parent / "golden" / "bundled_sha256.txt"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_bundled_artifacts_match_golden_hashes(tmp_path):
-    """Every bundled artifact, byte for byte as when the hashes were taken
-    (one `sha256sum` line per artifact)."""
-    report = run_bundled(tmp_path, quiet=True)
+    """Every bundled artifact, and every artifact of the design, voltage
+    sweep and voltage-curve scenarios under golden/scenarios (which no
+    bundled scenario reaches), byte for byte as when the hashes were
+    taken (one `sha256sum` line per artifact)."""
+    artifacts = list(run_bundled(tmp_path, quiet=True).artifacts)
+    for path in sorted((GOLDEN / "scenarios").glob("*.json")):
+        artifacts += run(load_scenario(path), tmp_path, quiet=True).artifacts
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in report.artifacts}
-    want = dict(reversed(line.split())
-                for line in GOLDEN.read_text().splitlines())
+           for p in artifacts}
+    want = {}
+    for sums in ("bundled_sha256.txt", "scenarios_sha256.txt"):
+        want.update(reversed(line.split())
+                    for line in (GOLDEN / sums).read_text().splitlines())
     assert got == want
 
 

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from ris_vlc.scenario import (ScenarioError, load_scenario,
-                              scenario_from_dict, scenario_to_dict)
+from ris_vlc.scenario import ScenarioError, load_scenario, scenario_from_dict
 from ris_vlc.tuning import LiquidCrystalActuator, MetaLensActuator
 
 
@@ -180,34 +179,3 @@ class TestBlockValidation:
         errs = errors_of(data)
         assert any("profile" in e for e in errs)
 
-
-class TestRoundTrip:
-    def scenarios(self):
-        basic = minimal()
-        with_sweep = minimal()
-        with_sweep["actuator"] = {"preset": "lc-sun2019"}
-        with_sweep["sweep"] = {"parameter": "voltage", "from_v": 3.0,
-                               "to_v": 5.0, "steps": 9, "spacing": "linear",
-                               "curves": {"depth_mm": [0.2, 0.4]},
-                               "baseline": {"depth_mm": 0.2}}
-        with_design = minimal()
-        with_design["design"] = {"kind": "refraction_angle", "value_deg": 41.8,
-                                 "free": "n_ris"}
-        with_bench = minimal()
-        with_bench["bench"] = {"front_ends": ["convex", "lc_ris"],
-                               "step_deg": 2.5}
-        with_profile = minimal()
-        with_profile["profile"] = {"samples": 11,
-                                   "curves": {"n_ris": [1.4, 1.6]}}
-        return [basic, with_sweep, with_design, with_bench, with_profile]
-
-    def test_serialize_then_reload_is_equal(self):
-        for data in self.scenarios():
-            sc = scenario_from_dict(data, name="case")
-            again = scenario_from_dict(scenario_to_dict(sc), name="other")
-            assert again == sc  # name baked into the dict wins
-
-    def test_survives_json_text(self):
-        sc = scenario_from_dict(self.scenarios()[1], name="case")
-        text = json.dumps(scenario_to_dict(sc))
-        assert scenario_from_dict(json.loads(text)) == sc

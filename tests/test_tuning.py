@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,8 +9,8 @@ from ris_vlc.optics import (Angle, IncidentWave, SteeringGeometry, Wavelength,
                             refraction_angle)
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                             MetaLensActuator, NonMonotonic, OutOfMaterialRange,
-                            _bisect_monotone, actuator_preset, lc_apply,
-                            metalens_apply, solve_depth_for_spot,
+                            _bisect_monotone, actuator_preset, drive_map,
+                            lc_apply, metalens_apply, solve_depth_for_spot,
                             solve_index_for_angle, solve_voltage)
 
 
@@ -245,6 +246,21 @@ class TestSolveVoltage:
         target = DesignTarget("refraction_angle", 40.0, wave(), None, "voltage")
         with pytest.raises(ValueError, match="geometry"):
             solve_voltage(target, LiquidCrystalActuator())
+
+    def test_drive_map_lc_requires_base(self):
+        with pytest.raises(ValueError, match="base geometry"):
+            drive_map(LiquidCrystalActuator())
+
+    def test_drive_map_intervals_and_base(self):
+        base = geom(slit=50.0, n=1.4)
+        apply, lo, hi = drive_map(metalens(), base)
+        assert (lo, hi) == (0.0, 1000.0)
+        assert apply(lo) == base
+        assert apply(hi).slit_um == 100.0
+        apply, lo, hi = drive_map(LiquidCrystalActuator(), base)
+        assert (lo, hi) == (3.0, 5.0)
+        assert apply(lo) == replace(base, n_ris=1.508)
+        assert apply(hi).n_ris == pytest.approx(1.808)
 
     def test_randomised_round_trips(self):
         rng = random.Random(4321)
