@@ -9,9 +9,10 @@ tie rounds as '%.17g' does.  The cells closer to a tie, zero, non-finite
 values and exponents beyond _EXP_LIMIT are flagged for '%.17g' itself.
 
 ``cell_words`` lays each cell out as four little-endian 64-bit words of
-ASCII bytes with a keep mask; ``runner._profile_rows`` writes them into a
-byte matrix per chunk of rows and compresses the kept bytes out.  Only the
-profile path imports this module, and numpy with it.
+ASCII bytes, NUL wherever the text has no byte; ``runner._profile_rows``
+deletes the NULs from the bytes of a chunk of rows with one
+``bytes.translate``.  Only the profile path imports this module, and
+numpy with it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _split(a):
 
 
 def _pow10_table():
-    """Rows hi, hi_head, hi_tail, lo of 10**k for k = 16 - E, column
+    """Columns hi, hi_head, hi_tail, lo of 10**k for k = 16 - E, row
     1 + _EXP_LIMIT - E for |E| <= _EXP_LIMIT + 1.
 
     hi is 10**k correctly rounded and lo the correctly rounded remainder,
@@ -56,7 +57,7 @@ def _pow10_table():
         his.append(hi)
         los.append(lo)
     hi = np.array(his)
-    return np.stack([hi, *_split(hi), np.array(los)])
+    return np.stack([hi, *_split(hi), np.array(los)], axis=1)
 
 
 _POW10 = _pow10_table()
@@ -65,7 +66,7 @@ _POW10 = _pow10_table()
 def _scaled(a, e):
     """a * 10**(16 - e) as a double-double (hi, lo): hi + lo is within
     about 1e-14 of the exact product, which lies near [1e16, 1e17)."""
-    hi_k, head_k, tail_k, lo_k = np.take(_POW10, 1 + _EXP_LIMIT - e, axis=1)
+    hi_k, head_k, tail_k, lo_k = np.take(_POW10, 1 + _EXP_LIMIT - e, axis=0).T
     p = a * hi_k
     head, tail = _split(a)
     t = ((head * head_k - p) + head * tail_k + tail * head_k) + tail * tail_k
@@ -113,67 +114,70 @@ def decimal(v):
     return d.view(np.uint64), e, fallback
 
 
-def _ascii8(v):
-    """The 8 ASCII digits of each v < 10**8 (uint64), first digit in the
-    lowest byte: two 4-digit lanes, then four 2-digit lanes, each divided
-    by multiply and shift (exact below 10**4 and 10**2)."""
-    top = v // 10000
-    w = top | (v - top * 10000) << 32
-    q = (w * 10486 >> 20) & 0x0000007F0000007F
-    w = q | (w - q * 100) << 16
-    q = (w * 103 >> 10) & 0x000F000F000F000F
-    return (q | (w - q * 10) << 8) + 0x3030303030303030
+def _ascii4_table():
+    """The 4 ASCII digits of each q < 10**4, first digit in the lowest byte."""
+    q = np.arange(10 ** 4, dtype=np.uint64)
+    return sum((q // 10 ** (3 - i) % 10 + ord("0")) << 8 * i for i in range(4))
 
 
-# A cell is four little-endian 64-bit words, with a keep mask word each
-# (a 1 byte keeps the byte):
-#   word 0    '-', '0', '.', '0', '0', '0', first digit, unused
-#   words 1-2 the other 16 digits, a '.' inserted after digit p unless p = 16
-#   word 3    the byte pushed out of word 2, 'e', sign, three exponent
-#             digits, the row's ',' or newline (byte END), unused
+_ASCII4 = _ascii4_table()
+
+
+# A cell is four little-endian 64-bit words; a byte outside the text is NUL:
+#   word 0    '-', the "0.000" before a small number's first digit, that
+#             first digit (byte 6)
+#   words 1-2 the other 16 digits, a '.' inserted after digit p unless
+#             p = 16, trailing zeros after the '.' cut
+#   word 3    the digit pushed out of word 2, the exponent ("e-05",
+#             "e+123"), then byte END for the row's ',' or newline
 END = 8 * 3 + 6
 _ZEROS = 0x3030303030303030
-_HEAD = int.from_bytes(b"-0.000", "little")
 
 
 def _layout_tables():
     """Lookup tables of the cell layout.
 
     By p: the bytes before the '.' inside its word (all 8 for p = 16) and
-    the '.' in place.  By n: the first n bytes of a word kept (n <= 8).
-    By decimal exponent x, at index x + _EXP_LIMIT: the digits after
-    the first that precede the '.', the last digit that a '.' may follow,
-    the kept bytes of "0.000" in word 0, and word 3's exponent bytes and
-    their mask (none in fixed notation, -4 <= x <= 16).
+    the '.' in place.  By the number of bytes shown after the first
+    digit, up to 17: the masks of words 1 and 2 and of the pushed digit.
+    By decimal exponent x, at index x + _EXP_LIMIT: the digits after the
+    first that precede the '.', the last digit that a '.' may follow, and
+    the text of word 0 before the first digit and of word 3's exponent
+    (none in fixed notation, -4 <= x <= 16).
     """
-    upto = [sum(1 << 8 * i for i in range(n)) for n in range(9)]
-    before = [upto[p % 8 if p < 16 else 8] * 0xFF for p in range(17)]
+    upto = [(1 << 8 * n) - 1 for n in range(9)]  # the first n bytes
+    before = [upto[p % 8 if p < 16 else 8] for p in range(17)]
     dot = [ord(".") << 8 * (p % 8) if p < 16 else 0 for p in range(17)]
-    whole, limit, head, tail, tail_keep = [], [], [], [], []
+    shown = [[upto[min(s, 8)], upto[min(max(s - 8, 0), 8)],
+              upto[s > 16]] for s in range(18)]
+    whole, limit, head, tail = [], [], [], []
     for x in range(-_EXP_LIMIT, 1 + _EXP_LIMIT):
         fixed, small = -4 <= x <= 16, -4 <= x < 0
         whole.append(x if fixed and not small else 0)
         limit.append(16 if small else whole[-1])
-        head.append(upto[1 - x] << 8 if small else 0)
-        tail.append(int.from_bytes(f"e{x:+04d}".encode(), "little") << 8)
-        # 'e', sign, hundreds (if any), tens, ones
-        tail_keep.append(0 if fixed else upto[5] << 8 if abs(x) >= 100
-                         else upto[2] << 8 | upto[2] << 32)
+        head.append("0.000"[:1 - x] if small else "")
+        tail.append("" if fixed else f"e{x:+03d}")
     u64 = np.uint64
-    return {"upto": np.array(upto, u64), "before": np.array(before, u64),
-            "dot": np.array(dot, u64), "whole": np.array(whole),
-            "limit": np.array(limit), "head": np.array(head, u64),
-            "tail": np.array(tail, u64), "tail_keep": np.array(tail_keep, u64)}
+
+    def from_byte_1(strings):
+        return np.array([int.from_bytes(s.encode(), "little") << 8
+                         for s in strings], u64)
+
+    return {"before": np.array(before, u64), "dot": np.array(dot, u64),
+            "shown": np.array(shown, u64), "whole": np.array(whole),
+            "limit": np.array(limit), "head": from_byte_1(head),
+            "tail": from_byte_1(tail)}
 
 
 _LAYOUT = _layout_tables()
 
 
 def cell_words(v):
-    """The words and keep masks of the '%.17g' text of every v.
+    """The '%.17g' text of every v in four words, NUL where no text is.
 
-    Returns (chars, keep, fallback): lists of the four uint64 words (word 3
-    without the row terminator) and the cells left to '%.17g' itself.
+    Returns (words, fallback): a (len(v), 4) uint64 array with byte END
+    of word 3 left NUL for the row terminator, and the cells left to
+    '%.17g' itself, whose words hold no text to keep.
     """
     t = _LAYOUT
     d, x, fallback = decimal(v)
@@ -183,26 +187,26 @@ def cell_words(v):
     halves = np.empty((len(d), 2), np.uint64)
     halves[:, 0] = rest // 10 ** 8
     halves[:, 1] = rest - halves[:, 0] * 10 ** 8
-    digits = _ascii8(halves)
+    top = halves // 10 ** 4
+    bottom = halves - top * 10 ** 4
+    digits = np.take(_ASCII4, top) | np.take(_ASCII4, bottom) << 32
     upper, lower = digits[:, 0], digits[:, 1]
     # last: the last nonzero digit (0 if only the first one is)
     nonzero = (np.frexp(digits ^ _ZEROS)[1] + 7) // 8
     last = np.where(nonzero[:, 1] > 0, 8 + nonzero[:, 1], nonzero[:, 0])
     whole = np.take(t["whole"], x)
     dot = last > np.take(t["limit"], x)
-    shown = np.maximum(last, whole) + dot
+    shown = np.take(t["shown"], np.maximum(last, whole) + dot, axis=0).T
     p = np.where(dot, whole, 16)
     into_upper = p < 8
     word = np.where(into_upper, upper, lower)
     before = np.take(t["before"], p)
     word = word & before | np.take(t["dot"], p) | (word & ~before) << 8
-    chars = [first << 48 | (_HEAD + (48 << 48)),
-             np.where(into_upper, word, upper),
-             np.where(into_upper, upper >> 56 | lower << 8, word),
-             lower >> 56 | np.take(t["tail"], x)]
-    upto = t["upto"]
-    keep = [np.signbit(v).astype(np.uint64) | np.take(t["head"], x) | 1 << 48,
-            np.take(upto, np.minimum(shown, 8)),
-            np.take(upto, np.clip(shown - 8, 0, 8)),
-            (shown > 16).astype(np.uint64) | np.take(t["tail_keep"], x)]
-    return chars, keep, fallback
+    words = np.empty((len(d), 4), np.uint64)
+    words[:, 0] = (v.view(np.uint64) >> 63) * ord("-")
+    words[:, 0] |= np.take(t["head"], x) | first + ord("0") << 48
+    words[:, 1] = np.where(into_upper, word, upper) & shown[0]
+    words[:, 2] = np.where(into_upper, upper >> 56 | lower << 8, word)
+    words[:, 2] &= shown[1]
+    words[:, 3] = lower >> 56 & shown[2] | np.take(t["tail"], x)
+    return words, fallback

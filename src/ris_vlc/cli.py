@@ -4,7 +4,9 @@ Subcommands ``eval``, ``sweep``, ``design`` and ``bench`` execute one
 scenario file (whose mode must match the subcommand); ``figures`` runs
 every bundled figure scenario.  Exit codes: 0 ok, 2 validation,
 3 numerical, 4 I/O.  Failures emit a machine-parsable JSON error record
-on stderr.
+as the last line on stderr.  Warnings raised during a run (drive clamps,
+for one) are printed before it, one ``warning: <message> (xN)`` line per
+distinct message.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import functools
 import json
 import os
 import sys
+import warnings
+from collections import Counter
 
 from .diffraction import NullBeyondHorizon
 from .optics import EvanescentOrder, TotalInternalReflection
@@ -68,28 +72,40 @@ def _out_dir(args: argparse.Namespace) -> str:
     return args.out or os.environ.get("RIS_VLC_OUT") or "out"
 
 
+def _execute(args: argparse.Namespace) -> None:
+    if args.command == "figures":
+        run_bundled(_out_dir(args), quiet=args.quiet)
+        return
+    scenario = load_scenario(args.scenario)
+    if scenario.mode != args.command:
+        raise ScenarioError(
+            [f"scenario mode '{scenario.mode}' does not match "
+             f"subcommand '{args.command}'"])
+    run(scenario, _out_dir(args), quiet=args.quiet)
+
+
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # The CLI runs no linear algebra, and an idle OpenBLAS worker
+        # thread costs CPU time on every profile evaluation.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "figures":
-            run_bundled(_out_dir(args), quiet=args.quiet)
-            return EXIT_OK
-        scenario = load_scenario(args.scenario)
-        if scenario.mode != args.command:
-            raise ScenarioError(
-                [f"scenario mode '{scenario.mode}' does not match "
-                 f"subcommand '{args.command}'"])
-        run(scenario, _out_dir(args), quiet=args.quiet)
-        return EXIT_OK
-    except ScenarioError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    except _NUMERICAL_ERRORS as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_IO
+    code, error = EXIT_OK, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            _execute(args)
+        except ScenarioError as exc:
+            code, error = EXIT_VALIDATION, exc
+        except _NUMERICAL_ERRORS as exc:
+            code, error = EXIT_NUMERICAL, exc
+        except OSError as exc:
+            code, error = EXIT_IO, exc
+    for message, n in Counter(str(w.message) for w in caught).items():
+        print(f"warning: {message} (x{n})", file=sys.stderr)
+    if error is not None:
+        print(_error_record(error), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

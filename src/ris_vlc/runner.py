@@ -12,7 +12,10 @@ come only from validated vocabularies, so no cell needs quoting.
 from __future__ import annotations
 
 import json
+import sys
 import time
+import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -62,9 +65,9 @@ def _profile_rows(prefix: str, positions, intensities) -> bytes:
     """The rows ``prefix`` + position + intensity, each cell byte for byte
     ``'%.17g' % x``.
 
-    Every cell is laid out in fixed byte slots with a keep mask
-    (``_g17.cell_words``) and the kept bytes are compressed out,
-    _CHUNK_ROWS rows at a time.
+    Every cell is laid out in fixed NUL-padded byte slots
+    (``_g17.cell_words``), _CHUNK_ROWS rows at a time; the NULs are then
+    deleted and ``prefix`` put in front of every row.
     """
     import numpy as np
 
@@ -72,40 +75,27 @@ def _profile_rows(prefix: str, positions, intensities) -> bytes:
 
     positions = np.asarray(positions, np.float64)
     intensities = np.asarray(intensities, np.float64)
-    lead = prefix.encode()
-    width = -(-len(lead) // 8) * 8 + 64
-    cell0 = width // 8 - 8  # word index of the first cell
-    n = min(len(positions), _CHUNK_ROWS)
-    chars = np.zeros((n, width), np.uint8)
-    keep = np.zeros((n, width), np.uint8)
-    chars[:, :len(lead)] = np.frombuffer(lead, np.uint8)
-    keep[:, :len(lead)] = 1
-    shift = 8 * (END % 8)  # of the terminator in word 3
-    ends = np.array([ord(","), ord("\n")], np.uint64) << shift
-    cells = np.empty(2 * n)
+    ends = np.array([ord(","), ord("\n")], np.uint64) << 8 * (END % 8)
+    cells = np.empty(2 * min(len(positions), _CHUNK_ROWS))
     parts = []
     for start in range(0, len(positions), _CHUNK_ROWS):
-        rows = min(n, len(positions) - start)
-        v = cells[:2 * rows]
-        v[0::2] = positions[start:start + rows]
-        v[1::2] = intensities[start:start + rows]
-        words, mask, fallback = cell_words(v)
-        words[3].reshape(rows, 2)[:] |= ends
-        mask[3] |= 1 << shift
-        c = chars[:rows].view("<u8")[:, cell0:].reshape(rows, 2, 4)
-        k = keep[:rows].view("<u8")[:, cell0:].reshape(rows, 2, 4)
-        for i in range(4):
-            c[:, :, i] = words[i].reshape(rows, 2)
-            k[:, :, i] = mask[i].reshape(rows, 2)
+        stop = start + _CHUNK_ROWS
+        v = cells[:2 * len(positions[start:stop])]
+        v[0::2] = positions[start:stop]
+        v[1::2] = intensities[start:stop]
+        words, fallback = cell_words(v)
+        words.reshape(-1, 2, 4)[:, :, 3] |= ends
+        chars = words.view(np.uint8)
         for j in np.flatnonzero(fallback).tolist():
             text = np.frombuffer((_CELL % v[j]).encode(), np.uint8)
-            at = 8 * cell0 + 32 * (j % 2)
-            chars[j // 2, at:at + len(text)] = text
-            keep[j // 2, at:at + END] = 0
-            keep[j // 2, at:at + len(text)] = 1
-        parts.append(np.compress(keep[:rows].ravel().view(bool),
-                                 chars[:rows].ravel()).tobytes())
-    return b"".join(parts)
+            chars[j, :END] = 0
+            chars[j, :len(text)] = text
+        parts.append(words.tobytes().translate(None, b"\0"))
+    rows = b"".join(parts)
+    if not (prefix and rows):
+        return rows
+    lead = prefix.encode()
+    return lead + rows[:-1].replace(b"\n", b"\n" + lead) + b"\n"
 
 
 def _write_csv(path: str | Path, header: list[str], lines: Iterable[str]) -> None:
@@ -248,23 +238,44 @@ def _run_bench(sc: Scenario, out_dir: Path) -> list[tuple[Path, str]]:
             (txt_path, f"{txt_path.name}: aligned table")]
 
 
+# Where run() keeps the warnings it passes on, so that a caller's
+# "default" filter shows each message once per source line, as it would
+# for the warning as first raised.
+_WARNING_REGISTRY: dict = {}
+
+
 def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunReport:
     """Execute a scenario and write its artifacts into ``out_dir``.
 
     Returns the artifact paths and one summary line per artifact; the
-    summary lines are also printed unless ``quiet``.
+    summary lines are also printed unless ``quiet``.  Every warning
+    raised meanwhile is counted by message in the ``.meta.json`` sidecar
+    and then issued again to the caller.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = scenario.mode
-    if mode == "sweep":
-        produced = [_run_sweep(scenario, out_dir)]
-    elif mode == "design":
-        produced = [_run_design(scenario, out_dir)]
-    elif mode == "bench":
-        produced = _run_bench(scenario, out_dir)
-    else:
-        produced = _run_eval(scenario, out_dir)
+    try:
+        # Every warning is recorded, not only the first per source line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if mode == "sweep":
+                produced = [_run_sweep(scenario, out_dir)]
+            elif mode == "design":
+                produced = [_run_design(scenario, out_dir)]
+            elif mode == "bench":
+                produced = _run_bench(scenario, out_dir)
+            else:
+                produced = _run_eval(scenario, out_dir)
+    finally:
+        # The caller's filters see the module that raised the warning, or
+        # the file name if no module was loaded from it, as Python does.
+        modules = {getattr(m, "__file__", None): name
+                   for name, m in list(sys.modules.items())} if caught else {}
+        for w in caught:
+            module = modules.get(w.filename, w.filename.removesuffix(".py"))
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, module, _WARNING_REGISTRY)
 
     sidecar = out_dir / f"{scenario.name}.meta.json"
     sidecar.write_text(json.dumps({
@@ -272,6 +283,7 @@ def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunR
         "mode": mode,
         "toolkit_version": __version__,
         "unix_time": time.time(),
+        "warnings": Counter(str(w.message) for w in caught),
     }, indent=2) + "\n")
 
     paths = tuple(p for p, _ in produced)

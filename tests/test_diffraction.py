@@ -282,3 +282,35 @@ def test_numpy_is_imported_only_to_sample_a_profile(tmp_path):
     assert (out / "table1_bench.csv").exists()
     assert (out / "dz_design.csv").exists()
     assert (out / "fig3-left_profile.csv").stat().st_size > 0
+
+
+BLAS_PIN_RUN = """
+import os, sys
+import ris_vlc.cli
+from ris_vlc.runner import bundled_scenario_path
+
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+profile = bundled_scenario_path("fig3-left")
+code = ris_vlc.cli.main(["eval", "--scenario", str(profile), "--out",
+                         sys.argv[1], "--quiet"])
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else 1
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_runs_openblas_on_one_thread(tmp_path, preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    imported, ran = subprocess.run(
+        [sys.executable, "-c", BLAS_PIN_RUN, str(tmp_path)], check=True,
+        env=env, capture_output=True, text=True).stdout.splitlines()
+    # Importing the CLI leaves the environment alone; main() pins OpenBLAS
+    # before numpy loads, unless the caller chose a thread count.
+    assert imported == str(preset)
+    code, threads, tasks = ran.split()
+    assert (code, threads) == ("0", preset or "1")
+    if preset is None:
+        assert tasks == "1"

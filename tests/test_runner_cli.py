@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -34,6 +35,22 @@ def minimal():
     }
 
 
+def clamped():
+    """An eval whose profile drives the LC cell past saturation twice."""
+    data = minimal()
+    data["actuator"] = {"preset": "lc-sun2019"}
+    data["profile"] = {"samples": 5,
+                       "curves": {"voltage_v": [0, 1.5, 10, 2.75, 10]}}
+    return data
+
+
+CLAMP = "drive 10 V clamped to saturation 5 V"
+
+
+def sidecar_warnings(out, name="case"):
+    return json.loads((out / f"{name}.meta.json").read_text())["warnings"]
+
+
 class TestRunner:
     def test_eval_artifacts(self, tmp_path):
         sc = scenario_from_dict(minimal(), name="single")
@@ -53,6 +70,29 @@ class TestRunner:
         lines = profile[0].read_text().splitlines()
         assert lines[0] == "depth_mm,position_mm,relative_intensity"
         assert len(lines) == 1 + 2 * 11
+
+    def test_warnings_counted_in_sidecar_and_passed_on(self, tmp_path):
+        sc = scenario_from_dict(clamped(), name="case")
+        with pytest.warns(UserWarning, match="clamped") as passed:
+            run(sc, tmp_path, quiet=True)
+        assert [str(w.message) for w in passed] == [CLAMP, CLAMP]
+        assert sidecar_warnings(tmp_path) == {CLAMP: 2}
+        # recorded even when the caller's filters ignore it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run(sc, tmp_path, quiet=True)
+        assert sidecar_warnings(tmp_path) == {CLAMP: 2}
+        run(scenario_from_dict(minimal(), name="calm"), tmp_path, quiet=True)
+        assert sidecar_warnings(tmp_path, "calm") == {}
+
+    def test_passed_on_warnings_keep_their_module(self, tmp_path):
+        sc = scenario_from_dict(clamped(), name="case")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", module=r"ris_vlc\.tuning")
+            run(sc, tmp_path, quiet=True)
+        assert seen == []
+        assert sidecar_warnings(tmp_path) == {CLAMP: 2}
 
     def test_sweep_rows_and_error_column(self, tmp_path):
         data = minimal()
@@ -143,6 +183,14 @@ class TestCli:
         assert main(["eval", "--scenario", str(path), "--out",
                      str(tmp_path / "out"), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_warnings_are_one_line_per_message(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, clamped())
+        code = main(["eval", "--scenario", str(path), "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == 0
+        assert capsys.readouterr().err == f"warning: {CLAMP} (x2)\n"
+        assert sidecar_warnings(tmp_path) == {CLAMP: 2}
 
     def test_mode_mismatch_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, minimal())
@@ -339,13 +387,16 @@ class TestCsvWriter:
 PREFIXES = ["", _CELL % 0.75 + ",", _CELL % (1 / 3) + ","]
 
 
-def g17_rows(prefix, values):
-    """The reference profile rows: each value once as a position and once
-    as an intensity, every cell formatted by Python's '%.17g'."""
+def g17_rows(prefix, values, intensities=None):
+    """The profile rows and their reference, every cell formatted by
+    Python's '%.17g': by default each value once as a position and once
+    as an intensity."""
     values = np.asarray(values, dtype=float)
-    pairs = zip(values.tolist(), values[::-1].tolist())
+    if intensities is None:
+        intensities = values[::-1]
+    pairs = zip(values.tolist(), np.asarray(intensities, float).tolist())
     want = "".join(f"{prefix}{'%.17g' % u},{'%.17g' % i}\n" for u, i in pairs)
-    return _profile_rows(prefix, values, values[::-1]), want.encode()
+    return _profile_rows(prefix, values, intensities), want.encode()
 
 
 def exact_ties():
@@ -418,6 +469,32 @@ class TestProfileRows:
                    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
         got, want = g17_rows(prefix, values)
         assert got == want
+
+    def test_every_prefix_length(self):
+        rng = np.random.default_rng(17)
+        scales = 10.0 ** rng.integers(-8, 20, 40)
+        values = np.concatenate([rng.standard_normal(40) * scales,
+                                 [0.0, -0.0, math.inf, math.nan],
+                                 exact_ties()[:4]])
+        text = "-1.2345678901234567e-308,"
+        for n in range(25):  # crosses the 8-byte word boundaries
+            got, want = g17_rows(text[:n], values)
+            assert got == want
+            assert b"\0" not in got
+
+    @pytest.mark.parametrize("prefix", PREFIXES[:2])
+    def test_fallback_cells_at_chunk_edges(self, prefix):
+        rng = np.random.default_rng(23)
+        rows = 2 * 2048 + 7
+        positions = rng.uniform(-0.5, 0.5, rows)
+        intensities = rng.uniform(0.0, 1.0, rows)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan] + exact_ties()[:5]
+        for k, row in enumerate([0, 2047, 2048, 2049, rows - 1]):
+            positions[row] = specials[2 * k]
+            intensities[row] = specials[2 * k + 1]
+        got, want = g17_rows(prefix, positions, intensities)
+        assert got == want
+        assert b"\0" not in got
 
 
 GOLDEN = Path(__file__).parent / "golden"
