@@ -6,7 +6,8 @@ every bundled figure scenario.  Exit codes: 0 ok, 2 validation,
 3 numerical, 4 I/O.  Failures emit a machine-parsable JSON error record
 as the last line on stderr.  Warnings raised during a run (drive clamps,
 for one) are printed before it, one ``warning: <message> (xN)`` line per
-distinct message.
+distinct message; other warning categories than ``UserWarning`` are
+shown or raised as the caller's warning filters say.
 """
 
 from __future__ import annotations
@@ -92,7 +93,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     code, error = EXIT_OK, None
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        # The program's own warnings (drive clamps, the horizon tail
+        # bound) are UserWarnings and all counted; any other category,
+        # such as a numpy RuntimeWarning, meets the caller's filters.
+        warnings.filterwarnings("always", category=UserWarning)
         try:
             _execute(args)
         except ScenarioError as exc:

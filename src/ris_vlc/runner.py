@@ -5,8 +5,9 @@ header row, '.' decimal separator, 17-significant-digit floats, fixed row
 order, no timestamps (run metadata goes to a JSON sidecar).  ``_write_csv``
 streams sweep, summary, design and bench rows, each from one ``%``
 template; detector-profile rows, the bulk of the output, are formatted in
-numpy by ``_profile_rows`` with the same bytes as '%.17g'.  Text cells
-come only from validated vocabularies, so no cell needs quoting.
+numpy and written chunk by chunk by ``_write_profile``, with the same
+bytes as '%.17g'.  Text cells come only from validated vocabularies, so
+no cell needs quoting.
 """
 
 from __future__ import annotations
@@ -56,46 +57,51 @@ def _template(n_floats: int, prefix: str = "", suffix: str = "") -> str:
     return prefix + ",".join([_CELL] * n_floats) + suffix + "\n"
 
 
-# Profile rows are formatted in numpy this many at a time, so the working
-# arrays stay the same size whatever the sample count.
+# Profile rows are formatted and written this many at a time, so the
+# working arrays stay the same size whatever the sample count.
 _CHUNK_ROWS = 2048
 
 
-def _profile_rows(prefix: str, positions, intensities) -> bytes:
-    """The rows ``prefix`` + position + intensity, each cell byte for byte
-    ``'%.17g' % x``.
+def _write_profile(fh, positions, members) -> float:
+    """Write the rows ``prefix`` + position + intensity of every member
+    ``(prefix, intensities)`` to ``fh`` in turn, each cell byte for byte
+    ``'%.17g' % x``; return the seconds spent formatting them.
 
-    Every cell is laid out in fixed NUL-padded byte slots
-    (``_g17.cell_words``), _CHUNK_ROWS rows at a time; the NULs are then
-    deleted and ``prefix`` put in front of every row.
+    Each chunk of rows is laid out in 64-bit words (``_g17.cell_words``):
+    the prefix, NUL-padded, then the position and the intensity in fixed
+    NUL-padded slots; it is written with its NULs deleted.  The position
+    slots are formatted with the first member and kept for the others.
     """
     import numpy as np
 
-    from ._g17 import END, cell_words
+    from ._g17 import cell_words
 
-    positions = np.asarray(positions, np.float64)
-    intensities = np.asarray(intensities, np.float64)
-    ends = np.array([ord(","), ord("\n")], np.uint64) << 8 * (END % 8)
-    cells = np.empty(2 * min(len(positions), _CHUNK_ROWS))
-    parts = []
-    for start in range(0, len(positions), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        v = cells[:2 * len(positions[start:stop])]
-        v[0::2] = positions[start:stop]
-        v[1::2] = intensities[start:stop]
-        words, fallback = cell_words(v)
-        words.reshape(-1, 2, 4)[:, :, 3] |= ends
-        chars = words.view(np.uint8)
-        for j in np.flatnonzero(fallback).tolist():
-            text = np.frombuffer((_CELL % v[j]).encode(), np.uint8)
-            chars[j, :END] = 0
-            chars[j, :len(text)] = text
-        parts.append(words.tobytes().translate(None, b"\0"))
-    rows = b"".join(parts)
-    if not (prefix and rows):
-        return rows
-    lead = prefix.encode()
-    return lead + rows[:-1].replace(b"\n", b"\n" + lead) + b"\n"
+    started, n, wrote = time.perf_counter(), len(positions), 0.0
+    k = max(-(-len(prefix) // 8) for prefix, _ in members)
+    raw = bytearray(8 * (k + 8) * min(n, _CHUNK_ROWS))
+    rows = np.frombuffer(raw, np.uint64).reshape(-1, k + 8)
+    shared = np.empty((n, 4), np.uint64) if len(members) > 1 else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (prefix, intensities) in enumerate(members):
+            lead = prefix.encode().ljust(8 * k, b"\0")
+            rows[:, :k] = np.frombuffer(lead, np.uint64)
+            for start in range(0, n, _CHUNK_ROWS):
+                m = min(n - start, _CHUNK_ROWS)
+                cells = rows[:m, k:k + 4]
+                if i == 0:
+                    cell_words(positions[start:start + m], ord(","), cells)
+                    if shared is not None:
+                        shared[start:start + m] = cells
+                else:
+                    cells[...] = shared[start:start + m]
+                cell_words(intensities[start:start + m], ord("\n"),
+                           rows[:m, k + 4:])
+                text = raw if m == len(rows) else raw[:rows[:m].nbytes]
+                text = text.translate(None, b"\0")
+                t0 = time.perf_counter()
+                fh.write(text)
+                wrote += time.perf_counter() - t0
+    return time.perf_counter() - started - wrote
 
 
 def _write_csv(path: str | Path, header: list[str], lines: Iterable[str]) -> None:
@@ -172,11 +178,20 @@ def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
     return path, f"{path.name}: {len(lines)} rows{note}"
 
 
-def _run_eval(sc: Scenario, out_dir: Path) -> list[tuple[Path, str]]:
-    summary = out_dir / f"{sc.name}_summary.csv"
+def _run_eval(sc: Scenario, out_dir: Path, stages: dict
+              ) -> list[tuple[Path, str]]:
+    """The summary row and the profile; ``stages`` gets the seconds spent
+    sampling (the summary metrics and every profile member), formatting
+    the profile rows, and writing (the summary row and the files)."""
+    clock = time.perf_counter
+    start = clock()
     values, _ = _metric_values(sc.geometry, sc.wave)
+    sampled = clock()
+    summary = out_dir / f"{sc.name}_summary.csv"
     _write_csv(summary, _METRIC_COLUMNS, [_template(len(values)) % tuple(values)])
     artifacts = [(summary, f"{summary.name}: 1 row")]
+    written = clock()
+    sample, formatting, write = sampled - start, 0.0, written - sampled
     if sc.profile is not None:
         # Every member is sampled before the file is opened, so a member
         # that raises leaves no partial profile behind.
@@ -187,16 +202,21 @@ def _run_eval(sc: Scenario, out_dir: Path) -> list[tuple[Path, str]]:
             if cv is not None:
                 geom, wave = _apply_override(key, cv, geom, wave, sc.actuator)
                 prefix = _CELL % cv + ","
-            members.append((prefix, profile_on_pd(geom, wave, sc.profile.samples)))
+            prof = profile_on_pd(geom, wave, sc.profile.samples)
+            members.append((prefix, prof.relative_intensity))
+        # No curve key sets pd_length_mm, so every member has these.
+        positions = prof.positions_mm
+        sampled = clock()
         header = ([key] if key else []) + ["position_mm", "relative_intensity"]
         path = out_dir / f"{sc.name}_profile.csv"
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
-            for prefix, prof in members:
-                fh.write(_profile_rows(prefix, prof.positions_mm,
-                                       prof.relative_intensity))
+            formatting = _write_profile(fh, positions, members)
+        sample += sampled - written
+        write += clock() - sampled - formatting
         rows = len(members) * sc.profile.samples
         artifacts.append((path, f"{path.name}: {rows} rows"))
+    stages.update(sample=sample, format=formatting, write=write)
     return artifacts
 
 
@@ -250,11 +270,13 @@ def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunR
     Returns the artifact paths and one summary line per artifact; the
     summary lines are also printed unless ``quiet``.  Every warning
     raised meanwhile is counted by message in the ``.meta.json`` sidecar
-    and then issued again to the caller.
+    and then issued again to the caller; for an evaluation the sidecar
+    also holds the seconds of its stages (``_run_eval``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = scenario.mode
+    stages: dict = {}
     try:
         # Every warning is recorded, not only the first per source line.
         with warnings.catch_warnings(record=True) as caught:
@@ -266,7 +288,7 @@ def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunR
             elif mode == "bench":
                 produced = _run_bench(scenario, out_dir)
             else:
-                produced = _run_eval(scenario, out_dir)
+                produced = _run_eval(scenario, out_dir, stages)
     finally:
         # The caller's filters see the module that raised the warning, or
         # the file name if no module was loaded from it, as Python does.
@@ -277,14 +299,17 @@ def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunR
             warnings.warn_explicit(w.message, w.category, w.filename,
                                    w.lineno, module, _WARNING_REGISTRY)
 
-    sidecar = out_dir / f"{scenario.name}.meta.json"
-    sidecar.write_text(json.dumps({
+    record = {
         "scenario": scenario.name,
         "mode": mode,
         "toolkit_version": __version__,
         "unix_time": time.time(),
         "warnings": Counter(str(w.message) for w in caught),
-    }, indent=2) + "\n")
+    }
+    if stages:
+        record["stages_s"] = stages
+    sidecar = out_dir / f"{scenario.name}.meta.json"
+    sidecar.write_text(json.dumps(record, indent=2) + "\n")
 
     paths = tuple(p for p, _ in produced)
     summaries = tuple(s for _, s in produced)

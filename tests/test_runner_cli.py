@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -15,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from ris_vlc.cli import _build_parser, main
 from ris_vlc import _g17
-from ris_vlc.runner import (_CELL, _profile_rows, _template,
-                            _write_csv, bundled_scenario_names,
+from ris_vlc import runner
+from ris_vlc.diffraction import profile_on_pd
+from ris_vlc.runner import (_CELL, _CHUNK_ROWS, _template, _write_csv,
+                            _write_profile, bundled_scenario_names,
                             bundled_scenario_path, run, run_bundled)
 from ris_vlc.scenario import CURVE_KEYS, load_scenario, scenario_from_dict
 
@@ -134,6 +137,57 @@ class TestRunner:
         assert 3.0 <= float(cells["solved_voltage_v"]) <= 5.0
         assert float(cells["achieved_mm"]) == pytest.approx(0.5, rel=1e-5)
 
+    def test_eval_sidecar_records_stage_seconds(self, tmp_path):
+        def stages(name):
+            meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+            return meta.get("stages_s")
+
+        data = minimal()
+        data["profile"] = {"samples": 3001, "curves": {"depth_mm": [0.5, 1.0]}}
+        run(scenario_from_dict(data, name="prof"), tmp_path, quiet=True)
+        seconds = stages("prof")
+        assert list(seconds) == ["sample", "format", "write"]
+        assert all(isinstance(s, float) and s > 0 for s in seconds.values())
+        run(scenario_from_dict(minimal(), name="plain"), tmp_path, quiet=True)
+        assert stages("plain")["format"] == 0.0
+        data = minimal()
+        data["sweep"] = {"parameter": "wavelength", "from_nm": 500.0,
+                         "to_nm": 600.0, "steps": 3}
+        run(scenario_from_dict(data, name="sw"), tmp_path, quiet=True)
+        assert stages("sw") is None
+
+    @pytest.mark.parametrize("key", CURVE_KEYS)
+    def test_curve_members_share_positions(self, key):
+        """_run_eval formats one position column for every member, which
+        holds because no curve key moves pd_length_mm."""
+        sc = scenario_from_dict({**minimal(), "actuator": {"preset": "lc-sun2019"}})
+        values = {"wavelength_nm": (400.0, 700.0), "n_ris": (1.3, 1.8),
+                  "depth_mm": (0.3, 2.0), "incidence_deg": (0.0, 30.0),
+                  "voltage_v": (3.0, 4.5)}[key]
+        positions = []
+        for value in values:
+            geom, wave = runner._apply_override(key, value, sc.geometry,
+                                                sc.wave, sc.actuator)
+            positions.append(profile_on_pd(geom, wave, 101).positions_mm)
+        assert np.array_equal(*positions)
+
+    def test_profile_memory_stays_bounded(self, tmp_path):
+        """Rows are streamed chunk by chunk: no member's text is built
+        whole (20.9 MB traced peak when it was, 6.4 MB streamed)."""
+        data = minimal()
+        data["profile"] = {"samples": 5, "curves": {"depth_mm": [0.5, 1.0]}}
+        run(scenario_from_dict(data, name="warm"), tmp_path, quiet=True)
+        data["profile"]["samples"] = 100001
+        sc = scenario_from_dict(data, name="big")
+        tracemalloc.start()
+        try:
+            run(sc, tmp_path, quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big_profile.csv").stat().st_size > 8e6
+        assert peak <= 8e6
+
     def test_bench_artifacts(self, tmp_path):
         data = minimal()
         data["bench"] = {"front_ends": ["convex", "spherical"], "step_deg": 5.0}
@@ -191,6 +245,29 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().err == f"warning: {CLAMP} (x2)\n"
         assert sidecar_warnings(tmp_path) == {CLAMP: 2}
+
+    def test_runtime_warnings_meet_the_callers_filters(self, tmp_path,
+                                                       capsys, monkeypatch):
+        """Only UserWarnings are counted whatever the filters; a numpy
+        RuntimeWarning fails a run under an error filter."""
+        def warns(*args):
+            warnings.warn("injected overflow", RuntimeWarning)
+            return profile_on_pd(*args)
+
+        monkeypatch.setattr(runner, "profile_on_pd", warns)
+        path = write_scenario(tmp_path, clamped())
+        argv = ["eval", "--scenario", str(path), "--out", str(tmp_path),
+                "--quiet"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="injected overflow"):
+                main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)
+            assert main(argv) == 0
+        # shown once per source line, as the default filter does
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: injected overflow (x1)", f"warning: {CLAMP} (x2)"]
 
     def test_mode_mismatch_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, minimal())
@@ -337,6 +414,14 @@ class TestCli:
 
 AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e22, 0.1,
            np.float64(1 / 3), np.float64(-2.5e-300), 7]
+
+
+def _profile_rows(prefix, positions, intensities):
+    """The bytes _write_profile writes for one member."""
+    buf = io.BytesIO()
+    _write_profile(buf, np.asarray(positions, np.float64),
+                   [(prefix, np.asarray(intensities, np.float64))])
+    return buf.getvalue()
 
 
 class TestCsvWriter:
@@ -493,6 +578,48 @@ class TestProfileRows:
             positions[row] = specials[2 * k]
             intensities[row] = specials[2 * k + 1]
         got, want = g17_rows(prefix, positions, intensities)
+        assert got == want
+        assert b"\0" not in got
+
+
+def written_profile(positions, members):
+    """The rows _write_profile writes, and their reference with every
+    cell formatted by Python's '%.17g'."""
+    buf = io.BytesIO()
+    _write_profile(buf, positions, members)
+    want = "".join(f"{prefix}{'%.17g' % u},{'%.17g' % i}\n"
+                   for prefix, intensities in members
+                   for u, i in zip(positions.tolist(), intensities.tolist()))
+    return buf.getvalue(), want.encode()
+
+
+class TestWriteProfile:
+    """_write_profile streams every member's rows with one shared position
+    column, each cell as '%.17g' gives it."""
+
+    @pytest.mark.parametrize("prefixes", [
+        [""], [PREFIXES[1]], [PREFIXES[1], PREFIXES[2], "2,"]])
+    @pytest.mark.parametrize("rows", [1, 3, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 7])
+    def test_members_match_per_row_format(self, prefixes, rows):
+        rng = np.random.default_rng(rows)
+        positions = np.linspace(-0.5, 0.5, rows)
+        members = [(p, rng.uniform(0.0, 1.0, rows) ** 8) for p in prefixes]
+        got, want = written_profile(positions, members)
+        assert got == want
+        assert b"\0" not in got
+
+    @pytest.mark.parametrize("prefixes", [[""], [PREFIXES[1], "2,", "3,"]])
+    def test_fallback_positions_at_chunk_edges(self, prefixes):
+        rng = np.random.default_rng(29)
+        rows = 2 * _CHUNK_ROWS + 7
+        positions = rng.uniform(-0.5, 0.5, rows)
+        edges = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                 2 * _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1,
+                 rows - 2, rows - 1]
+        positions[edges] = ([0.0, -0.0, math.inf, -math.inf, math.nan]
+                            + exact_ties()[:5])
+        members = [(p, rng.uniform(0.0, 1.0, rows)) for p in prefixes]
+        got, want = written_profile(positions, members)
         assert got == want
         assert b"\0" not in got
 
