@@ -11,10 +11,9 @@ one off, or D may carry to 10**17) are formatted by '%.17g' itself.
 
 ``cell_words`` lays each cell out as four little-endian 64-bit words of
 ASCII bytes, NUL wherever the text has no byte; ``runner`` deletes the
-NULs from the bytes of a chunk of rows with one ``bytes.translate``.  The
-caller enters ``np.errstate(divide="ignore", invalid="ignore")``, since
-log10(0) and the cast of a non-finite exponent are expected here.  Only
-the profile path imports this module, and numpy with it.
+NULs from the bytes of a chunk of rows with one ``bytes.translate``.  No
+input makes numpy warn here, so no ``np.errstate`` is needed.  Only the
+profile path imports this module, and numpy with it.
 """
 
 from __future__ import annotations
@@ -25,6 +24,9 @@ import numpy as np
 # power 10**(16 - E), |x| and every Dekker partial product are normal
 # doubles.
 _EXP_LIMIT = 280
+# |x| is first clamped to [1e-_EXP_BIAS, 1e_EXP_BIAS], so E + _EXP_BIAS is
+# a row of every table here.
+_EXP_BIAS = 290
 
 # Veltkamp's splitting constant 2**27 + 1: a * _SPLIT separates the upper
 # 26 significand bits of a from the lower 27.
@@ -40,15 +42,17 @@ def _split(a):
 
 def _pow10_columns():
     """Columns hi, hi_head, hi_tail, lo of 10**(16 - E), each indexed by
-    E + _EXP_LIMIT for |E| <= _EXP_LIMIT.
+    E + _EXP_BIAS; zero where |E| > _EXP_LIMIT.
 
     hi is 10**k correctly rounded and lo the correctly rounded remainder,
     so hi + lo is 10**k to about 2**-106 relative.  Both come from exact
     integers: int -> float and int / int round correctly.
     """
     his, los = [], []
-    for k in range(16 + _EXP_LIMIT, 15 - _EXP_LIMIT, -1):
-        if k >= 0:
+    for k in range(16 + _EXP_BIAS, 15 - _EXP_BIAS, -1):
+        if abs(16 - k) > _EXP_LIMIT:
+            hi = lo = 0.0
+        elif k >= 0:
             hi = float(10 ** k)
             lo = float(10 ** k - int(hi))
         else:
@@ -66,22 +70,25 @@ _POW10 = _pow10_columns()
 
 
 def decimal(v):
-    """|v| rounded to 17 significant digits as d * 10**(x - _EXP_LIMIT - 16).
+    """|v| rounded to 17 significant digits as d * 10**(x - _EXP_BIAS - 16).
 
     Returns (d, x, fallback) with 10**16 <= d < 10**17 (uint64) wherever
-    ``fallback`` is False; x is the decimal exponent E plus _EXP_LIMIT, a
+    ``fallback`` is False; x is the decimal exponent E plus _EXP_BIAS, a
     row of the tables here.  ``fallback`` flags the cells that numpy
     leaves to '%.17g' itself: zero, non-finite, outside the table's
     exponents, next to a decade edge or within 1e-9 of a rounding tie
     (which '%.17g' breaks to even).
     """
+    # Zero, subnormal and non-finite values are moved to 1e-290 or 1e290
+    # and, like every value beyond the exponents of _EXP_LIMIT, scale to
+    # hi = 0 or hi outside [1e16, 1e17); the arithmetic stays finite and
+    # raises no floating-point warning.
     a = np.abs(v)
+    np.fmax(a, 10.0 ** -_EXP_BIAS, out=a)  # nan too
+    np.fmin(a, 10.0 ** _EXP_BIAS, out=a)
     e = np.log10(a)
-    fallback = ~(np.abs(e) < _EXP_LIMIT)
-    e += _EXP_LIMIT
-    x = e.astype(np.intp)  # e > 0 wherever it counts: floor
-    np.putmask(a, fallback, 1.0)
-    np.putmask(x, fallback, _EXP_LIMIT)
+    e += _EXP_BIAS
+    x = e.astype(np.intp)  # floor(e), or 0 for e a hair below 0
     hi_k, head_k, tail_k, lo_k = (c[x] for c in _POW10)
     # a * (hi_k + lo_k) as hi + lo: a Dekker two-product plus a * lo_k
     p = a * hi_k
@@ -94,13 +101,15 @@ def decimal(v):
     t += a * lo_k
     hi = p + t
     lo = t - (hi - p)
+    # Outside (1e16, 1e17 - 16) log10 may have been one off or D may
+    # carry to 10**17.
+    fallback = (hi <= 1e16) | (hi >= 1e17 - 16)
+    np.putmask(hi, fallback, 1e16)  # any digits that index the tables
     # hi is an integer (its ulp is 2 or more), so the rounding is lo's,
     # half up; a tie within 1e-9 shows as a fraction below 2e-9.
     lo += 0.5 + 1e-9
     up = np.floor(lo)
     fallback |= lo - up < 2e-9
-    # Outside (1e16, 1e17 - 16) log10 may have been one off or D may carry.
-    fallback |= (hi <= 1e16) | (hi >= 1e17 - 16)
     d = hi.astype(np.int64)
     d += up.astype(np.int64)
     return d.view(np.uint64), x, fallback
@@ -126,11 +135,11 @@ _LAST4 = 16 - sum((np.arange(10 ** 4) % 10 ** k == 0) for k in range(1, 5))
 #   word 0    '-', the "0.000" before a small number's first digit, that
 #             first digit (byte 6) and the '.' after it (byte 7)
 #   words 1-2 the other 16 digits, trailing zeros cut
-#   word 3    the exponent ("e-05", "e+123") and byte END for the row's
+#   word 3    the exponent ("e-05", "e+123") and byte _END for the row's
 #             ',' or newline
 # In fixed notation with 1 <= E <= 16 the '.' (or, if no fraction is
 # shown, its NUL) moves from byte 7 to the byte after digit E.
-END = 8 * 3 + 5
+_END = 8 * 3 + 5
 _DOT = ord(".") << 56
 
 
@@ -148,7 +157,7 @@ def _layout_tables():
     """
     upto = [(1 << 8 * n) - 1 for n in range(9)]  # the first n bytes
     head, tail, klass = [], [], []
-    for e in range(-_EXP_LIMIT, 1 + _EXP_LIMIT):
+    for e in range(-_EXP_BIAS, 1 + _EXP_BIAS):
         small, fixed = -4 <= e < 0, 1 <= e <= 16
         text = "0.000"[:1 - e] if small else ""
         word = int.from_bytes(text.encode(), "little") << 8
@@ -179,7 +188,7 @@ _LAYOUT = _layout_tables()
 
 def cell_words(v, end, out):
     """Write the '%.17g' text of every v into ``out``, a (len(v), 4)
-    uint64 array, four words a cell, NUL where no text is, with byte END
+    uint64 array, four words a cell, NUL where no text is, with byte _END
     of each cell set to ``end`` (the row's ',' or newline)."""
     t = _LAYOUT
     d, x, fallback = decimal(v)
@@ -194,13 +203,13 @@ def cell_words(v, end, out):
     # Most cells have a nonzero digit among the last four and E < 1: their
     # text is word 0, the 16 digits with the trailing zeros of the last
     # four cut, and word 3.
-    odd = (groups[:, 3] == 0) | (x > _EXP_LIMIT)
+    odd = (groups[:, 3] == 0) | (x > _EXP_BIAS)
     groups[:, 3] += 10 ** 4
     out[:, 0] = t["head"][2 * x + np.signbit(v)] | first << 48
     digits = _ASCII4[groups].view(np.uint64)
     out[:, 1] = digits[:, 0]  # one column at a time: out's rows are apart
     out[:, 2] = digits[:, 1]
-    out[:, 3] = t["tail"][x] | end << 8 * (END % 8)
+    out[:, 3] = t["tail"][x] | end << 8 * (_END % 8)
     if odd.any():
         _mask_odd_cells(out, odd.nonzero()[0], x, groups)
     if fallback.any():
@@ -229,6 +238,6 @@ def _mask_odd_cells(out, cells, x, groups):
     out[cells, 2] = digits[:, 1] & m2
     moved = cells[row >= 34]
     if moved.size:
-        e = x[moved] - _EXP_LIMIT - 1
+        e = x[moved] - _EXP_BIAS - 1
         chars = out[moved].view(np.uint8)
         out[moved] = np.take_along_axis(chars, t["order"][e], 1).view(np.uint64)

@@ -81,26 +81,25 @@ def _write_profile(fh, positions, members) -> float:
     raw = bytearray(8 * (k + 8) * min(n, _CHUNK_ROWS))
     rows = np.frombuffer(raw, np.uint64).reshape(-1, k + 8)
     shared = np.empty((n, 4), np.uint64) if len(members) > 1 else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, (prefix, intensities) in enumerate(members):
-            lead = prefix.encode().ljust(8 * k, b"\0")
-            rows[:, :k] = np.frombuffer(lead, np.uint64)
-            for start in range(0, n, _CHUNK_ROWS):
-                m = min(n - start, _CHUNK_ROWS)
-                cells = rows[:m, k:k + 4]
-                if i == 0:
-                    cell_words(positions[start:start + m], ord(","), cells)
-                    if shared is not None:
-                        shared[start:start + m] = cells
-                else:
-                    cells[...] = shared[start:start + m]
-                cell_words(intensities[start:start + m], ord("\n"),
-                           rows[:m, k + 4:])
-                text = raw if m == len(rows) else raw[:rows[:m].nbytes]
-                text = text.translate(None, b"\0")
-                t0 = time.perf_counter()
-                fh.write(text)
-                wrote += time.perf_counter() - t0
+    for i, (prefix, intensities) in enumerate(members):
+        lead = prefix.encode().ljust(8 * k, b"\0")
+        rows[:, :k] = np.frombuffer(lead, np.uint64)
+        for start in range(0, n, _CHUNK_ROWS):
+            m = min(n - start, _CHUNK_ROWS)
+            cells = rows[:m, k:k + 4]
+            if i == 0:
+                cell_words(positions[start:start + m], ord(","), cells)
+                if shared is not None:
+                    shared[start:start + m] = cells
+            else:
+                cells[...] = shared[start:start + m]
+            cell_words(intensities[start:start + m], ord("\n"),
+                       rows[:m, k + 4:])
+            text = raw if m == len(rows) else raw[:rows[:m].nbytes]
+            text = text.translate(None, b"\0")
+            t0 = time.perf_counter()
+            fh.write(text)
+            wrote += time.perf_counter() - t0
     return time.perf_counter() - started - wrote
 
 

@@ -623,6 +623,16 @@ class TestWriteProfile:
         assert got == want
         assert b"\0" not in got
 
+    def test_no_floating_point_flag_for_any_value(self):
+        """The kernel needs no np.errstate: nothing it is given overflows,
+        divides by zero or turns invalid, underflow included."""
+        values = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                           2.2250738585072014e-308, 1.7976931348623157e308,
+                           1e-290, 1e-281, 1e281, 1e290, 0.1, -3.0])
+        with np.errstate(all="raise"):
+            got, want = written_profile(values, [("", values[::-1].copy())])
+        assert got == want
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
