@@ -185,15 +185,16 @@ def _run_eval(sc: Scenario, out_dir: Path, stages: dict
     clock = time.perf_counter
     start = clock()
     values, _ = _metric_values(sc.geometry, sc.wave)
-    sampled = clock()
+    stages.update(sample=clock() - start, format=0.0)
+    start = clock()
     summary = out_dir / f"{sc.name}_summary.csv"
     _write_csv(summary, _METRIC_COLUMNS, [_template(len(values)) % tuple(values)])
     artifacts = [(summary, f"{summary.name}: 1 row")]
-    written = clock()
-    sample, formatting, write = sampled - start, 0.0, written - sampled
+    stages["write"] = clock() - start
     if sc.profile is not None:
         # Every member is sampled before the file is opened, so a member
         # that raises leaves no partial profile behind.
+        start = clock()
         key, curve_values = sc.profile.curves or (None, (None,))
         members = []
         for cv in curve_values:
@@ -205,17 +206,16 @@ def _run_eval(sc: Scenario, out_dir: Path, stages: dict
             members.append((prefix, prof.relative_intensity))
         # No curve key sets pd_length_mm, so every member has these.
         positions = prof.positions_mm
-        sampled = clock()
+        stages["sample"] += clock() - start
+        start = clock()
         header = ([key] if key else []) + ["position_mm", "relative_intensity"]
         path = out_dir / f"{sc.name}_profile.csv"
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
-            formatting = _write_profile(fh, positions, members)
-        sample += sampled - written
-        write += clock() - sampled - formatting
+            stages["format"] = _write_profile(fh, positions, members)
+        stages["write"] += clock() - start - stages["format"]
         rows = len(members) * sc.profile.samples
         artifacts.append((path, f"{path.name}: {rows} rows"))
-    stages.update(sample=sample, format=formatting, write=write)
     return artifacts
 
 
