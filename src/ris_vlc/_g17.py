@@ -31,6 +31,9 @@ _EXP_BIAS = 290
 # Veltkamp's splitting constant 2**27 + 1: a * _SPLIT separates the upper
 # 26 significand bits of a from the lower 27.
 _SPLIT = 134217729.0
+# Keeps the sign, the exponent and the upper 26 significand bits of a
+# double: a & _HEAD is a's head, and a minus it the 27-bit tail, exact.
+_HEAD = np.uint64(2 ** 64 - 2 ** 27)
 
 
 def _split(a):
@@ -90,17 +93,25 @@ def decimal(v):
     e += _EXP_BIAS
     x = e.astype(np.intp)  # floor(e), or 0 for e a hair below 0
     hi_k, head_k, tail_k, lo_k = (c[x] for c in _POW10)
-    # a * (hi_k + lo_k) as hi + lo: a Dekker two-product plus a * lo_k
+    # a * (hi_k + lo_k) as hi + lo: a Dekker two-product plus a * lo_k.
+    # Every partial product is exact: 26 or 27 bits times 26.
+    head = (a.view(np.uint64) & _HEAD).view(np.float64)
+    tail = a - head
     p = a * hi_k
-    head, tail = _split(a)
     t = head * head_k
     t -= p
-    t += head * tail_k
-    t += tail * head_k
-    t += tail * tail_k
-    t += a * lo_k
+    head *= tail_k
+    t += head
+    tail_k *= tail
+    tail *= head_k
+    t += tail
+    t += tail_k
+    lo_k *= a
+    t += lo_k
     hi = p + t
-    lo = t - (hi - p)
+    p -= hi
+    lo = p
+    lo += t  # t - (hi - p)
     # Outside (1e16, 1e17 - 16) log10 may have been one off or D may
     # carry to 10**17.
     fallback = (hi <= 1e16) | (hi >= 1e17 - 16)
@@ -109,7 +120,8 @@ def decimal(v):
     # half up; a tie within 1e-9 shows as a fraction below 2e-9.
     lo += 0.5 + 1e-9
     up = np.floor(lo)
-    fallback |= lo - up < 2e-9
+    lo -= up
+    fallback |= lo < 2e-9
     d = hi.astype(np.int64)
     d += up.astype(np.int64)
     return d.view(np.uint64), x, fallback
