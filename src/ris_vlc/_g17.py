@@ -6,12 +6,13 @@ of ten exact to about 2**-106), with E = floor(log10 |x|), and rounded to
 the 17-digit integer D.  The scaled value is within 1e-13 of exact, so
 every cell further than 1e-9 from a rounding tie rounds as '%.17g' does.
 The cells closer to a tie, zero, non-finite values, exponents beyond
-_EXP_LIMIT and the cells within 16 of a decade edge (where log10 may be
-one off, or D may carry to 10**17) are formatted by '%.17g' itself.
+_EXP_LIMIT and the cells whose scaled value lies within 16 of 1e16 or
+1e17 (where log10 may be one off, or D may carry to 10**17) are
+formatted by '%.17g' itself.
 
 ``cell_words`` lays each cell out as four little-endian 64-bit words of
 ASCII bytes, NUL wherever the text has no byte; ``runner`` deletes the
-NULs from the bytes of a chunk of rows with one ``bytes.translate``.  No
+NULs from the bytes of a chunk of rows with one ``translate``.  No
 input makes numpy warn here, so no ``np.errstate`` is needed.  Only the
 profile path imports this module, and numpy with it.
 """

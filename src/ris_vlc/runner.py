@@ -82,8 +82,9 @@ def _write_profile(fh, positions, members) -> float:
     rows = np.frombuffer(raw, np.uint64).reshape(-1, k + 8)
     shared = np.empty((n, 4), np.uint64) if len(members) > 1 else None
     for i, (prefix, intensities) in enumerate(members):
-        lead = prefix.encode().ljust(8 * k, b"\0")
-        rows[:, :k] = np.frombuffer(lead, np.uint64)
+        if k:
+            lead = prefix.encode().ljust(8 * k, b"\0")
+            rows[:, :k] = np.frombuffer(lead, np.uint64)
         for start in range(0, n, _CHUNK_ROWS):
             m = min(n - start, _CHUNK_ROWS)
             cells = rows[:m, k:k + 4]

@@ -156,11 +156,13 @@ class TestRunner:
         run(scenario_from_dict(data, name="sw"), tmp_path, quiet=True)
         assert stages("sw") is None
 
-    @pytest.mark.parametrize("key", CURVE_KEYS)
-    def test_curve_members_share_positions(self, key):
+    @pytest.mark.parametrize("key, actuator", [
+        *((key, {"preset": "lc-sun2019"}) for key in CURVE_KEYS),
+        ("voltage_v", {"preset": "metalens-she2018"})])
+    def test_curve_members_share_positions(self, key, actuator):
         """_run_eval formats one position column for every member, which
         holds because no curve key moves pd_length_mm."""
-        sc = scenario_from_dict({**minimal(), "actuator": {"preset": "lc-sun2019"}})
+        sc = scenario_from_dict({**minimal(), "actuator": actuator})
         values = {"wavelength_nm": (400.0, 700.0), "n_ris": (1.3, 1.8),
                   "depth_mm": (0.3, 2.0), "incidence_deg": (0.0, 30.0),
                   "voltage_v": (3.0, 4.5)}[key]
