@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .optics import Angle, EvanescentOrder, IncidentWave, SteeringGeometry, Wavelength
+from .optics import (BOUNDS as OPTICS_BOUNDS, POSITIVE, Angle, EvanescentOrder,
+                     IncidentWave, SteeringGeometry, Wavelength, interval)
 from .radiometry import transmittance
 from .diffraction import steering_offset_mm
 from .tuning import (Actuator, DesignTarget, Infeasible, MetaLensActuator,
@@ -57,6 +58,9 @@ _CMBBP_FLOOR = 0.5
 
 _ANGLE_EPS_DEG = 1e-9
 
+# Rotation-sweep inputs, by the scenario key that carries them.
+BOUNDS = {"step_deg": interval(0, 90, lo_open=True)}
+
 
 @dataclass(frozen=True)
 class ReceiverFrontEnd:
@@ -92,8 +96,7 @@ class ReceiverFrontEnd:
         if (self.rolloff_start is not None) != (self.kind == "cmbbp"):
             raise ValueError("rolloff_start is required for cmbbp and "
                              "forbidden otherwise")
-        if not self.spot_mm > 0:
-            raise ValueError(f"spot_mm must be > 0, got {self.spot_mm}")
+        POSITIVE.check("spot_mm", self.spot_mm)
         if self.kind in RIS_KINDS:
             if self.actuator is None:
                 raise ValueError(f"{self.kind} requires an actuator")
@@ -194,8 +197,7 @@ def _detect_ris(fe: ReceiverFrontEnd, rotation: Angle) -> tuple[bool, float]:
 def detect(front_end: ReceiverFrontEnd, rotation: Angle) -> tuple[bool, float]:
     """(detected, relative intensity) at one receiver rotation."""
     deg = rotation.degrees
-    if not 0.0 <= deg <= 90.0:
-        raise ValueError(f"rotation must lie in [0, 90] deg, got {deg:g}")
+    OPTICS_BOUNDS["incidence_deg"].check("rotation", deg)
     if deg > front_end.max_incidence.degrees + _ANGLE_EPS_DEG:
         return (False, 0.0)
     if front_end.kind in RIS_KINDS:
@@ -208,8 +210,7 @@ def detect(front_end: ReceiverFrontEnd, rotation: Angle) -> tuple[bool, float]:
 
 def rotation_sweep(front_end: ReceiverFrontEnd, step_deg: float) -> RotationSweepResult:
     """Detection sweep over rotations 0..90 deg inclusive."""
-    if not 0.0 < step_deg <= 90.0:
-        raise ValueError(f"step must lie in (0, 90] deg, got {step_deg:g}")
+    BOUNDS["step_deg"].check("step_deg", step_deg)
     count = int(math.floor(90.0 / step_deg + 1e-9))
     angles = [round(k * step_deg, 12) for k in range(count + 1)]
     if angles[-1] < 90.0 - _ANGLE_EPS_DEG:

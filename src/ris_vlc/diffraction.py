@@ -38,7 +38,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .optics import Angle, IncidentWave, SteeringGeometry, refraction_angle
+from .optics import Angle, Bound, IncidentWave, SteeringGeometry, refraction_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,6 +63,9 @@ _TAN_HORIZON = math.tan(_HORIZON)
 # Warn when the neglected analytic tail beyond the horizon grows
 # non-negligible relative to the unit-normalised total.
 _TAIL_WARN = 1e-3
+
+# Detector-profile inputs, by the scenario key that carries them.
+BOUNDS = {"samples": Bound(lambda n: n >= 3, "be >= 3", integer=True)}
 
 
 class NullBeyondHorizon(Exception):
@@ -168,8 +171,7 @@ def profile_on_pd(
     """
     import numpy as np
 
-    if samples < 3:
-        raise ValueError(f"samples must be >= 3, got {samples}")
+    BOUNDS["samples"].check("samples", samples)
     centre = steering_offset_mm(geom, wave)
     lam_m = medium_wavelength_nm(geom, wave)
     u = np.linspace(-geom.pd_length_mm / 2, geom.pd_length_mm / 2, samples)

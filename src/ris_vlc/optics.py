@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "EvanescentOrder",
@@ -25,17 +26,58 @@ __all__ = [
     "IncidentWave",
     "refraction_angle",
     "snell_angle",
+    "Bound",
+    "BOUNDS",
     "WAVELENGTH_BAND_NM",
     "INDEX_RANGE",
 ]
 
 # Operating band accepted by the toolkit (vacuum wavelength, nm).
-WAVELENGTH_BAND_NM = (200.0, 2000.0)
+WAVELENGTH_BAND_NM = (200, 2000)
 
 # Slab material indices considered physical for this device class.
 INDEX_RANGE = (1.0, 2.5)
 
-_AIR_INDEX_RANGE = (1.0, 1.001)
+
+class Bound(NamedTuple):
+    """The admissible values of one input field: ``ok(value)`` holds for
+    them (never for NaN or +-inf), ``text`` completes "<field> must ..."
+    in every message about the field, and ``integer`` fields take ints."""
+
+    ok: Callable[[Any], bool]
+    text: str
+    integer: bool = False
+
+    def check(self, name: str, value: Any) -> None:
+        if not self.ok(value):
+            raise ValueError(f"{name} must {self.text}, got {value!r}")
+
+
+def interval(lo: float, hi: float, lo_open: bool = False) -> Bound:
+    """Values in [lo, hi], or in (lo, hi] when ``lo_open``; the endpoints
+    print as given."""
+    return Bound((lambda v: lo < v <= hi) if lo_open else
+                 (lambda v: lo <= v <= hi),
+                 f"lie in {'(' if lo_open else '['}{lo}, {hi}]")
+
+
+POSITIVE = Bound(lambda v: 0.0 < v < math.inf, "be finite and > 0")
+NON_NEGATIVE = Bound(lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+
+# Geometry and wave fields, by the scenario key that carries them.  Scenario
+# validation reports violations in this order.
+BOUNDS = {
+    "slit_um": POSITIVE,
+    "depth_mm": POSITIVE,
+    "pd_length_mm": POSITIVE,
+    "n_air": interval(1.0, 1.001),
+    "n_ris": interval(*INDEX_RANGE, lo_open=True),
+    "wavelength_nm": interval(*WAVELENGTH_BAND_NM),
+    "incidence_deg": interval(0, 90),
+    "power_w": NON_NEGATIVE,
+    "order": Bound(lambda v: isinstance(v, int) and v in (0, 1, 2, 3),
+                   "be one of 0..3", integer=True),
+}
 
 
 class EvanescentOrder(Exception):
@@ -46,9 +88,10 @@ class TotalInternalReflection(Exception):
     """No transmitted ray exists for the given interface and angle."""
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+def check_fields(obj: Any, bounds: dict[str, Bound], *names: str) -> None:
+    """Check the named attributes of ``obj`` against their ``bounds``."""
+    for name in names:
+        bounds[name].check(name, getattr(obj, name))
 
 
 @dataclass(frozen=True, order=True)
@@ -58,12 +101,7 @@ class Wavelength:
     nanometres: float
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.nanometres) and self.nanometres > 0,
-                 f"wavelength must be a positive finite value, got {self.nanometres}")
-        lo, hi = WAVELENGTH_BAND_NM
-        _require(lo <= self.nanometres <= hi,
-                 f"wavelength {self.nanometres} nm outside accepted band "
-                 f"[{lo:g}, {hi:g}] nm")
+        BOUNDS["wavelength_nm"].check("wavelength_nm", self.nanometres)
 
     @property
     def micrometres(self) -> float:
@@ -81,8 +119,8 @@ class Angle:
     radians: float
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.radians),
-                 f"angle must be finite, got {self.radians}")
+        if not math.isfinite(self.radians):
+            raise ValueError(f"angle must be finite, got {self.radians}")
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Angle":
@@ -111,18 +149,8 @@ class SteeringGeometry:
     n_air: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.slit_um) and self.slit_um > 0,
-                 f"slit_um must be > 0, got {self.slit_um}")
-        _require(math.isfinite(self.depth_mm) and self.depth_mm > 0,
-                 f"depth_mm must be > 0, got {self.depth_mm}")
-        _require(math.isfinite(self.pd_length_mm) and self.pd_length_mm > 0,
-                 f"pd_length_mm must be > 0, got {self.pd_length_mm}")
-        lo, hi = _AIR_INDEX_RANGE
-        _require(lo <= self.n_air <= hi,
-                 f"n_air must lie in [{lo}, {hi}], got {self.n_air}")
-        lo, hi = INDEX_RANGE
-        _require(lo < self.n_ris <= hi,
-                 f"n_ris must lie in ({lo}, {hi}], got {self.n_ris}")
+        check_fields(self, BOUNDS, "slit_um", "depth_mm", "pd_length_mm",
+                     "n_air", "n_ris")
 
 
 @dataclass(frozen=True)
@@ -141,13 +169,8 @@ class IncidentWave:
     order: int = 1
 
     def __post_init__(self) -> None:
-        _require(0.0 <= self.incidence.radians <= math.pi / 2,
-                 f"incidence must lie in [0, 90] deg, got "
-                 f"{self.incidence.degrees:.6g} deg")
-        _require(math.isfinite(self.power_w) and self.power_w >= 0,
-                 f"power_w must be >= 0, got {self.power_w}")
-        _require(isinstance(self.order, int) and self.order in (0, 1, 2, 3),
-                 f"order must be one of 0..3, got {self.order!r}")
+        BOUNDS["incidence_deg"].check("incidence_deg", self.incidence.degrees)
+        check_fields(self, BOUNDS, "power_w", "order")
 
 
 def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
@@ -178,10 +201,10 @@ def snell_angle(n_in: float, n_out: float, theta_in: Angle) -> Angle:
         TotalInternalReflection: sin(theta_in) * n_in / n_out > 1.
     """
     lo, hi = INDEX_RANGE
-    _require(lo <= n_in <= hi and lo <= n_out <= hi,
-             f"indices must lie in [{lo}, {hi}], got n_in={n_in}, n_out={n_out}")
-    _require(0.0 <= theta_in.radians <= math.pi / 2,
-             f"theta_in must lie in [0, 90] deg, got {theta_in.degrees:.6g} deg")
+    if not (lo <= n_in <= hi and lo <= n_out <= hi):
+        raise ValueError(f"indices must lie in [{lo}, {hi}], got "
+                         f"n_in={n_in}, n_out={n_out}")
+    BOUNDS["incidence_deg"].check("theta_in", theta_in.degrees)
     s = math.sin(theta_in.radians) * n_in / n_out
     if s > 1.0:
         raise TotalInternalReflection(

@@ -15,15 +15,14 @@ A scenario activates exactly one of
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .bench import KINDS as BENCH_KINDS
-from .optics import Angle, IncidentWave, SteeringGeometry, Wavelength
-from .tuning import (Actuator, DesignTarget, LiquidCrystalActuator,
-                     MetaLensActuator, PRESET_NAMES, TARGET_KINDS,
+from . import bench, diffraction, optics, tuning
+from .optics import Angle, Bound, IncidentWave, SteeringGeometry, Wavelength
+from .tuning import (FREE_VARIABLES, PRESET_NAMES, TARGET_KINDS, Actuator,
+                     DesignTarget, LiquidCrystalActuator, MetaLensActuator,
                      actuator_preset)
 
 __all__ = [
@@ -50,17 +49,29 @@ CURVE_KEYS = ("wavelength_nm", "n_ris", "depth_mm", "incidence_deg", "voltage_v"
 # The field a sweep parameter sets, which its bounds and curve keys name.
 _PARAM_FIELD = dict(zip(SWEEP_PARAMETERS, CURVE_KEYS))
 _BASELINE_KEYS = ("depth_mm", "n_ris", "slit_um")
-# Bounds shared by the geometry/wave fields and by the sweep ranges, curve
-# members and baselines that override them.
-_FIELD_BOUNDS = {
-    "slit_um": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
-    "pd_length_mm": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
-    "power_w": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0"),
-    "wavelength_nm": (lambda v: 200.0 <= v <= 2000.0, "lie in [200, 2000]"),
-    "n_ris": (lambda v: 1.0 < v <= 2.5, "lie in (1.0, 2.5]"),
-    "depth_mm": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
-    "incidence_deg": (lambda v: 0.0 <= v <= 90.0, "lie in [0, 90]"),
-    "voltage_v": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0")}
+_SPACINGS = ("linear", "log")
+# Every bounded field, from the module that owns it; sweep ranges, curve
+# members and baselines are held to the bound of the field they set.
+_BOUNDS = {**optics.BOUNDS, **tuning.BOUNDS, **diffraction.BOUNDS,
+           **bench.BOUNDS,
+           "steps": Bound(lambda n: n >= 2, "be >= 2", integer=True)}
+
+
+def _defaults(cls: type, *names: str) -> dict[str, Any]:
+    """Key -> default of the named fields of ``cls`` (all of them when none
+    are named); MISSING marks a required key."""
+    given = {f.name: f.default for f in fields(cls)}
+    return {name: given[name] for name in names or given}
+
+
+# The numeric keys of each block with their defaults.
+_GEOMETRY = _defaults(SteeringGeometry)
+_WAVE = {"wavelength_nm": MISSING, "incidence_deg": MISSING,
+         **_defaults(IncidentWave, "power_w", "order")}
+_METALENS = _defaults(MetaLensActuator, "v_max_v", "stretch_max")
+# A scenario names its liquid-crystal base index; the class default is
+# the preset's.
+_LC = {**_defaults(LiquidCrystalActuator), "n_base": MISSING}
 
 
 class ScenarioError(ValueError):
@@ -135,30 +146,34 @@ def _check_unit_keys(node: Any, path: str, errors: list[str]) -> None:
             errors.append(f"{here}: numeric key lacks a unit suffix")
 
 
-def _take_number(block: dict, path: str, key: str, errors: list[str],
-                 required: bool = True, default: float | None = None,
-                 integer: bool = False) -> float | int | None:
+def _take(block: dict, path: str, key: str, errors: list[str],
+          default: Any = MISSING) -> Any:
+    """``block[key]`` as a float, or as an int for an integer field;
+    ``default`` when the key is absent (a violation when MISSING) or the
+    value has the wrong type."""
     if key not in block:
-        if required:
+        if default is MISSING:
             errors.append(f"{path}.{key}: required key missing")
         return default
     value = block[key]
-    if integer:
-        if not (isinstance(value, int) and not isinstance(value, bool)):
-            errors.append(f"{path}.{key}: must be an integer, got {value!r}")
-            return default
-        return value
-    if not _is_number(value):
-        errors.append(f"{path}.{key}: must be a number, got {value!r}")
-        return default
-    return float(value)
+    integer = key in _BOUNDS and _BOUNDS[key].integer
+    if _is_number(value) and (isinstance(value, int) or not integer):
+        return value if integer else float(value)
+    kind = "an integer" if integer else "a number"
+    errors.append(f"{path}.{key}: must be {kind}, got {value!r}")
+    return default
 
 
-def _check_bounds(path: str, key: str, value: float, errors: list[str],
-                  index: str = "", field: str | None = None) -> None:
-    ok, text = _FIELD_BOUNDS[field or key]
-    if not ok(value):
-        errors.append(f"{path}.{key}{index}: must {text}, got {value:g}")
+def _bounded(path: str, key: str, value: Any, errors: list[str],
+             index: str = "", field: str | None = None) -> bool:
+    """Whether ``value`` meets the bound of ``field`` (``key`` by default);
+    a violation is recorded under ``path.key`` plus ``index``."""
+    bound = _BOUNDS[field or key]
+    if bound.ok(value):
+        return True
+    shown = repr(value) if bound.integer else f"{value:g}"
+    errors.append(f"{path}.{key}{index}: must {bound.text}, got {shown}")
+    return False
 
 
 def _reject_unknown(block: dict, path: str, known: tuple[str, ...],
@@ -168,67 +183,40 @@ def _reject_unknown(block: dict, path: str, known: tuple[str, ...],
             errors.append(f"{path}.{key}: unknown key")
 
 
-def _parse_geometry(block: Any, errors: list[str]) -> SteeringGeometry | None:
-    path = "geometry"
-    if not isinstance(block, dict):
-        errors.append(f"{path}: must be an object")
+def _read(block: dict, path: str, spec: dict[str, Any], errors: list[str],
+          also: tuple[str, ...] = ()) -> dict[str, Any] | None:
+    """The numeric fields of ``spec`` (key -> default) read from ``block``,
+    which may hold the keys ``also`` besides; None when a required field
+    is missing or mistyped, or any field is out of bounds."""
+    _reject_unknown(block, path, (*also, *spec), errors)
+    values = {key: _take(block, path, key, errors, default)
+              for key, default in spec.items()}
+    if MISSING in values.values():
         return None
-    _reject_unknown(block, path, ("slit_um", "depth_mm", "pd_length_mm",
-                                  "n_ris", "n_air"), errors)
-    slit = _take_number(block, path, "slit_um", errors)
-    depth = _take_number(block, path, "depth_mm", errors)
-    pd = _take_number(block, path, "pd_length_mm", errors)
-    n_ris = _take_number(block, path, "n_ris", errors)
-    n_air = _take_number(block, path, "n_air", errors, required=False, default=1.0)
-    if None in (slit, depth, pd, n_ris):
-        return None
-    # Field-level invariant checks so every violation is reported at once.
-    before = len(errors)
-    _check_bounds(path, "slit_um", slit, errors)
-    _check_bounds(path, "depth_mm", depth, errors)
-    _check_bounds(path, "pd_length_mm", pd, errors)
-    if not 1.0 <= n_air <= 1.001:
-        errors.append(f"{path}.n_air: must lie in [1.0, 1.001], got {n_air:g}")
-    _check_bounds(path, "n_ris", n_ris, errors)
-    if len(errors) > before:
-        return None
-    return SteeringGeometry(slit_um=slit, depth_mm=depth, pd_length_mm=pd,
-                            n_ris=n_ris, n_air=n_air)
+    # Bounds in table order, so that every block reports them alike.
+    ok = [_bounded(path, key, values[key], errors)
+          for key in _BOUNDS if key in values]
+    return values if all(ok) else None
 
 
-def _parse_wave(block: Any, errors: list[str]) -> IncidentWave | None:
-    path = "wave"
-    if not isinstance(block, dict):
-        errors.append(f"{path}: must be an object")
-        return None
-    _reject_unknown(block, path, ("wavelength_nm", "incidence_deg",
-                                  "power_w", "order"), errors)
-    lam = _take_number(block, path, "wavelength_nm", errors)
-    inc = _take_number(block, path, "incidence_deg", errors)
-    power = _take_number(block, path, "power_w", errors, required=False, default=1.0)
-    order = _take_number(block, path, "order", errors, required=False,
-                         default=1, integer=True)
-    if None in (lam, inc):
-        return None
-    before = len(errors)
-    _check_bounds(path, "wavelength_nm", lam, errors)
-    _check_bounds(path, "incidence_deg", inc, errors)
-    _check_bounds(path, "power_w", power, errors)
-    if order not in (0, 1, 2, 3):
-        errors.append(f"{path}.order: must be one of 0..3, got {order!r}")
-    if len(errors) > before:
-        return None
-    return IncidentWave(wavelength=Wavelength(lam),
-                        incidence=Angle.from_degrees(inc),
-                        power_w=power, order=order)
+def _parse_geometry(block: dict, errors: list[str]) -> SteeringGeometry | None:
+    values = _read(block, "geometry", _GEOMETRY, errors)
+    return None if values is None else SteeringGeometry(**values)
 
 
-def _parse_actuator(block: Any, geometry: SteeringGeometry | None,
+def _parse_wave(block: dict, errors: list[str]) -> IncidentWave | None:
+    values = _read(block, "wave", _WAVE, errors)
+    if values is None:
+        return None
+    return IncidentWave(wavelength=Wavelength(values["wavelength_nm"]),
+                        incidence=Angle.from_degrees(values["incidence_deg"]),
+                        power_w=values["power_w"], order=values["order"])
+
+
+def _parse_actuator(block: dict, geometry: SteeringGeometry | None,
                     errors: list[str]) -> Actuator | None:
     path = "actuator"
-    if not isinstance(block, dict):
-        errors.append(f"{path}: must be an object")
-        return None
+    kind = block.get("type")
     if "preset" in block:
         _reject_unknown(block, path, ("preset",), errors)
         name = block["preset"]
@@ -236,38 +224,26 @@ def _parse_actuator(block: Any, geometry: SteeringGeometry | None,
             errors.append(f"{path}.preset: unknown preset {name!r}; "
                           f"available: {', '.join(PRESET_NAMES)}")
             return None
-        return actuator_preset(name, base_geometry=geometry)
-    kind = block.get("type")
-    if kind == "metalens":
-        _reject_unknown(block, path, ("type", "v_max_v", "stretch_max"), errors)
-        v_max = _take_number(block, path, "v_max_v", errors)
-        stretch = _take_number(block, path, "stretch_max", errors)
-        if None in (v_max, stretch) or geometry is None:
+        make = lambda: actuator_preset(name, base_geometry=geometry)
+    elif kind == "metalens":
+        values = _read(block, path, _METALENS, errors, also=("type",))
+        if values is None or geometry is None:
             return None
-        try:
-            return MetaLensActuator(v_max_v=v_max, stretch_max=stretch,
-                                    base_geometry=geometry)
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
+        make = lambda: MetaLensActuator(base_geometry=geometry, **values)
+    elif kind == "lc":
+        values = _read(block, path, _LC, errors, also=("type",))
+        if values is None:
             return None
-    if kind == "lc":
-        _reject_unknown(block, path, ("type", "v_on_v", "v_sat_v",
-                                      "n_base", "delta_n"), errors)
-        v_on = _take_number(block, path, "v_on_v", errors, required=False, default=3.0)
-        v_sat = _take_number(block, path, "v_sat_v", errors, required=False, default=5.0)
-        n_base = _take_number(block, path, "n_base", errors)
-        delta = _take_number(block, path, "delta_n", errors, required=False, default=0.3)
-        if n_base is None:
-            return None
-        try:
-            return LiquidCrystalActuator(v_on_v=v_on, v_sat_v=v_sat,
-                                         n_base=n_base, delta_n=delta)
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-            return None
-    errors.append(f"{path}.type: must be 'metalens' or 'lc' (or use 'preset'), "
-                  f"got {kind!r}")
-    return None
+        make = lambda: LiquidCrystalActuator(**values)
+    else:
+        errors.append(f"{path}.type: must be 'metalens' or 'lc' (or use "
+                      f"'preset'), got {kind!r}")
+        return None
+    try:  # the rules that tie fields together
+        return make()
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+        return None
 
 
 def _parse_curves(block: Any, path: str, has_actuator: bool, errors: list[str],
@@ -290,38 +266,24 @@ def _parse_curves(block: Any, path: str, has_actuator: bool, errors: list[str],
     if key == "voltage_v" and not has_actuator:
         errors.append(f"{path}: voltage curve requires an actuator block")
     for k, v in enumerate(values):
-        _check_bounds(path, key, v, errors, f"[{k}]")
+        _bounded(path, key, v, errors, f"[{k}]")
     return (key, tuple(float(v) for v in values))
 
 
-def _parse_profile(block: Any, has_actuator: bool,
+def _parse_profile(block: dict, has_actuator: bool,
                    errors: list[str]) -> ProfileSpec | None:
-    path = "profile"
-    if not isinstance(block, dict):
-        errors.append(f"{path}: must be an object")
+    values = _read(block, "profile", {"samples": MISSING}, errors,
+                   also=("curves",))
+    curves = (_parse_curves(block["curves"], "profile.curves", has_actuator,
+                            errors) if "curves" in block else None)
+    if values is None or ("curves" in block and curves is None):
         return None
-    _reject_unknown(block, path, ("samples", "curves"), errors)
-    samples = _take_number(block, path, "samples", errors, integer=True)
-    if samples is not None and samples < 3:
-        errors.append(f"{path}.samples: must be >= 3, got {samples}")
-        samples = None
-    curves = None
-    if "curves" in block:
-        curves = _parse_curves(block["curves"], f"{path}.curves", has_actuator,
-                               errors)
-        if curves is None:
-            return None
-    if samples is None:
-        return None
-    return ProfileSpec(samples=samples, curves=curves)
+    return ProfileSpec(curves=curves, **values)
 
 
-def _parse_sweep(block: Any, has_actuator: bool,
+def _parse_sweep(block: dict, has_actuator: bool,
                  errors: list[str]) -> SweepSpec | None:
     path = "sweep"
-    if not isinstance(block, dict):
-        errors.append(f"{path}: must be an object")
-        return None
     parameter = block.get("parameter")
     if parameter not in SWEEP_PARAMETERS:
         errors.append(f"{path}.parameter: must be one of {SWEEP_PARAMETERS}, "
@@ -331,19 +293,24 @@ def _parse_sweep(block: Any, has_actuator: bool,
     from_key, to_key = f"from_{suffix}", f"to_{suffix}"
     _reject_unknown(block, path, ("parameter", from_key, to_key, "steps",
                                   "spacing", "curves", "baseline"), errors)
-    start = _take_number(block, path, from_key, errors)
-    stop = _take_number(block, path, to_key, errors)
-    steps = _take_number(block, path, "steps", errors, integer=True)
+    # Unlike a block of fields, a sweep reports the bound of every value
+    # it could read, even when another one is missing.
+    start, stop, steps = (_take(block, path, key, errors)
+                          for key in (from_key, to_key, "steps"))
     spacing = block.get("spacing", "linear")
-    if spacing not in ("linear", "log"):
+    if spacing not in _SPACINGS:
         errors.append(f"{path}.spacing: must be 'linear' or 'log', got {spacing!r}")
-    if steps is not None and steps < 2:
-        errors.append(f"{path}.steps: must be >= 2, got {steps}")
-    for key, value in ((from_key, start), (to_key, stop)):
-        if value is not None:
-            _check_bounds(path, key, value, errors,
-                          field=_PARAM_FIELD[parameter])
-    if None not in (start, stop) and not start < stop:
+    if steps is not MISSING:
+        _bounded(path, "steps", steps, errors)
+    field = _PARAM_FIELD[parameter]
+    if start is not MISSING and _bounded(path, from_key, start, errors,
+                                         field=field) \
+            and spacing == "log" and not start > 0:
+        errors.append(f"{path}.{from_key}: must be > 0 for log spacing, "
+                      f"got {start:g}")
+    if stop is not MISSING:
+        _bounded(path, to_key, stop, errors, field=field)
+    if MISSING not in (start, stop) and not start < stop:
         errors.append(f"{path}: need {from_key} < {to_key}, "
                       f"got {start!r} >= {stop!r}")
     if parameter == "voltage" and not has_actuator:
@@ -362,32 +329,29 @@ def _parse_sweep(block: Any, has_actuator: bool,
                           f"{_BASELINE_KEYS} to numbers")
         else:
             for k, v in b.items():
-                _check_bounds(f"{path}.baseline", k, v, errors)
+                _bounded(f"{path}.baseline", k, v, errors)
             baseline = tuple((k, float(v)) for k, v in b.items())
-    if None in (start, stop, steps) or spacing not in ("linear", "log"):
+    if MISSING in (start, stop, steps) or spacing not in _SPACINGS:
         return None
     return SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps,
                      spacing=spacing, curves=curves, baseline=baseline)
 
 
-def _parse_design(block: Any, geometry: SteeringGeometry | None,
+def _parse_design(block: dict, geometry: SteeringGeometry | None,
                   wave: IncidentWave | None, has_actuator: bool,
                   errors: list[str]) -> DesignTarget | None:
     path = "design"
-    if not isinstance(block, dict):
-        errors.append(f"{path}: must be an object")
-        return None
     kind = block.get("kind")
     if kind not in TARGET_KINDS:
         errors.append(f"{path}.kind: must be one of {TARGET_KINDS}, got {kind!r}")
         return None
     value_key = "value_deg" if kind == "refraction_angle" else "value_mm"
     _reject_unknown(block, path, ("kind", value_key, "free"), errors)
-    value = _take_number(block, path, value_key, errors)
+    value = _take(block, path, value_key, errors)
     free = block.get("free")
-    if free not in ("n_ris", "depth", "voltage"):
-        errors.append(f"{path}.free: must be one of ('n_ris', 'depth', "
-                      f"'voltage'), got {free!r}")
+    if free not in FREE_VARIABLES:
+        errors.append(f"{path}.free: must be one of {FREE_VARIABLES}, "
+                      f"got {free!r}")
         return None
     if free == "voltage" and not has_actuator:
         errors.append(f"{path}: voltage solve requires an actuator block")
@@ -400,7 +364,7 @@ def _parse_design(block: Any, geometry: SteeringGeometry | None,
         errors.append(f"{path}: free variable depth solves only "
                       f"spot_width targets, got kind {kind!r}")
         return None
-    if value is None or geometry is None or wave is None:
+    if value is MISSING or geometry is None or wave is None:
         return None
     try:
         return DesignTarget(kind=kind, value=value, wave=wave,
@@ -410,31 +374,25 @@ def _parse_design(block: Any, geometry: SteeringGeometry | None,
         return None
 
 
-def _parse_bench(block: Any, errors: list[str]) -> BenchSpec | None:
+def _parse_bench(block: dict, errors: list[str]) -> BenchSpec | None:
     path = "bench"
-    if not isinstance(block, dict):
-        errors.append(f"{path}: must be an object")
-        return None
     _reject_unknown(block, path, ("front_ends", "step_deg"), errors)
     fes = block.get("front_ends")
     if fes == "all":
-        kinds = BENCH_KINDS
+        kinds = bench.KINDS
     elif isinstance(fes, list) and fes and all(isinstance(k, str) for k in fes):
-        bad = [k for k in fes if k not in BENCH_KINDS]
+        bad = [k for k in fes if k not in bench.KINDS]
         if bad:
             errors.append(f"{path}.front_ends: unknown kind(s) {bad}; "
-                          f"valid: {BENCH_KINDS}")
+                          f"valid: {bench.KINDS}")
             return None
         kinds = tuple(fes)
     else:
         errors.append(f"{path}.front_ends: must be 'all' or a non-empty "
                       f"list of kinds")
         return None
-    step = _take_number(block, path, "step_deg", errors)
-    if step is None:
-        return None
-    if not 0.0 < step <= 90.0:
-        errors.append(f"{path}.step_deg: must lie in (0, 90], got {step:g}")
+    step = _take(block, path, "step_deg", errors)
+    if step is MISSING or not _bounded(path, "step_deg", step, errors):
         return None
     return BenchSpec(front_ends=kinds, step_deg=step)
 
@@ -454,17 +412,19 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         else:
             errors.append("name: must be a non-empty string")
 
-    geometry = _parse_geometry(data.get("geometry"), errors) \
-        if "geometry" in data else None
-    if "geometry" not in data:
-        errors.append("geometry: required block missing")
-    wave = _parse_wave(data.get("wave"), errors) if "wave" in data else None
-    if "wave" not in data:
-        errors.append("wave: required block missing")
+    def parse(key: str, parser, *args):
+        if key not in data:
+            if key in ("geometry", "wave"):
+                errors.append(f"{key}: required block missing")
+        elif not isinstance(data[key], dict):
+            errors.append(f"{key}: must be an object")
+        else:
+            return parser(data[key], *args, errors)
+        return None
 
-    actuator = None
-    if "actuator" in data:
-        actuator = _parse_actuator(data["actuator"], geometry, errors)
+    geometry = parse("geometry", _parse_geometry)
+    wave = parse("wave", _parse_wave)
+    actuator = parse("actuator", _parse_actuator, geometry)
 
     active = [k for k in ("sweep", "design", "bench") if k in data]
     if len(active) > 1:
@@ -473,19 +433,19 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     if "profile" in data and active:
         errors.append("profile: only valid for single-evaluation scenarios")
 
-    profile = _parse_profile(data["profile"], actuator is not None, errors) \
-        if "profile" in data else None
-    sweep = _parse_sweep(data["sweep"], actuator is not None, errors) \
-        if "sweep" in data else None
-    design = _parse_design(data["design"], geometry, wave,
-                           actuator is not None, errors) \
-        if "design" in data else None
-    bench = _parse_bench(data["bench"], errors) if "bench" in data else None
+    # An invalid actuator block is reported once, as itself, and not again
+    # by every block that needs an actuator.
+    has_actuator = "actuator" in data
+    profile = parse("profile", _parse_profile, has_actuator)
+    sweep = parse("sweep", _parse_sweep, has_actuator)
+    design = parse("design", _parse_design, geometry, wave, has_actuator)
+    bench_spec = parse("bench", _parse_bench)
 
     if errors:
         raise ScenarioError(errors)
     return Scenario(name=name, geometry=geometry, wave=wave, actuator=actuator,
-                    profile=profile, sweep=sweep, design=design, bench=bench)
+                    profile=profile, sweep=sweep, design=design,
+                    bench=bench_spec)
 
 
 def load_scenario(path: str | Path) -> Scenario:

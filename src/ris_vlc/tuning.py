@@ -27,8 +27,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 from .diffraction import first_null_angle, steering_offset_mm
-from .optics import (INDEX_RANGE, Angle, IncidentWave, SteeringGeometry,
-                     refraction_angle)
+from .optics import (BOUNDS as OPTICS_BOUNDS, INDEX_RANGE, NON_NEGATIVE,
+                     POSITIVE, Angle, Bound, IncidentWave, SteeringGeometry,
+                     check_fields, refraction_angle)
 
 __all__ = [
     "OutOfMaterialRange",
@@ -50,6 +51,19 @@ __all__ = [
 
 TARGET_KINDS = ("refraction_angle", "spot_width", "pd_landing")
 FREE_VARIABLES = ("n_ris", "depth", "voltage")
+
+# Drive voltage and actuator fields, by the scenario key that carries them.
+# Rules that tie fields together stay in the actuator classes.
+BOUNDS = {
+    "voltage_v": NON_NEGATIVE,
+    "v_max_v": POSITIVE,
+    "stretch_max": Bound(lambda v: 1.0 < v < math.inf, "be finite and > 1"),
+    "v_on_v": POSITIVE,
+    "v_sat_v": POSITIVE,
+    "n_base": OPTICS_BOUNDS["n_ris"],
+}
+# A steered angle the index solve can aim for.
+_TARGET_ANGLE = Bound(lambda deg: 0.0 < deg < 90.0, "lie in (0, 90) deg")
 
 
 class OutOfMaterialRange(ValueError):
@@ -77,10 +91,12 @@ class MetaLensActuator:
     base_geometry: SteeringGeometry
 
     def __post_init__(self) -> None:
-        if not self.v_max_v > 0:
-            raise ValueError(f"v_max_v must be > 0, got {self.v_max_v}")
-        if not self.stretch_max > 1:
-            raise ValueError(f"stretch_max must be > 1, got {self.stretch_max}")
+        check_fields(self, BOUNDS, "v_max_v", "stretch_max")
+        try:
+            metalens_apply(self, self.v_max_v)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"stretch_max {self.stretch_max:g} leaves no "
+                             f"valid slab at full stretch") from exc
 
 
 @dataclass(frozen=True)
@@ -94,7 +110,8 @@ class LiquidCrystalActuator:
     delta_n: float = 0.3
 
     def __post_init__(self) -> None:
-        if not 0 < self.v_on_v < self.v_sat_v:
+        check_fields(self, BOUNDS, "v_on_v", "v_sat_v", "n_base")
+        if not self.v_on_v < self.v_sat_v:
             raise ValueError(
                 f"need v_sat > v_on > 0, got v_on={self.v_on_v}, v_sat={self.v_sat_v}")
         if not 0.2 <= self.delta_n <= 0.4:
@@ -132,25 +149,25 @@ class DesignTarget:
             raise ValueError(f"free must be one of {FREE_VARIABLES}, got {self.free!r}")
         if not (math.isfinite(self.value) and self.value > 0):
             raise ValueError(f"target value must be positive, got {self.value}")
-        if self.kind == "refraction_angle" and not self.value < 90.0:
-            raise ValueError(
-                f"refraction-angle target must lie in (0, 90) deg, got {self.value}")
+        if self.kind == "refraction_angle":
+            _TARGET_ANGLE.check("refraction-angle target", self.value)
 
 
-def metalens_apply(act: MetaLensActuator, v: float) -> SteeringGeometry:
+def metalens_apply(act: MetaLensActuator, v: float,
+                   base: SteeringGeometry | None = None) -> SteeringGeometry:
     """Geometry after driving the meta-lens at ``v`` volts.
 
-    Drives above v_max clamp to full stretch (with a warning); v = 0
-    returns the base geometry unchanged.
+    ``base`` is the slab at rest, the actuator's own base geometry by
+    default.  Drives above v_max clamp to full stretch (with a warning);
+    v = 0 returns the base geometry unchanged.
     """
-    if not (math.isfinite(v) and v >= 0):
-        raise ValueError(f"drive voltage must be >= 0, got {v}")
+    BOUNDS["voltage_v"].check("drive voltage", v)
     if v > act.v_max_v:
         warnings.warn(f"drive {v:g} V clamped to v_max {act.v_max_v:g} V",
                       stacklevel=2)
         v = act.v_max_v
     s = 1.0 + v / act.v_max_v * (act.stretch_max - 1.0)
-    base = act.base_geometry
+    base = base or act.base_geometry
     if s == 1.0:
         return base
     return replace(base, slit_um=base.slit_um * s, depth_mm=base.depth_mm / s**2)
@@ -164,8 +181,7 @@ def lc_apply(
     The index is flat at n_base below the threshold voltage by design;
     drives above saturation clamp (with a warning).
     """
-    if not (math.isfinite(v) and v >= 0):
-        raise ValueError(f"drive voltage must be >= 0, got {v}")
+    BOUNDS["voltage_v"].check("drive voltage", v)
     if v > act.v_sat_v:
         warnings.warn(f"drive {v:g} V clamped to saturation {act.v_sat_v:g} V",
                       stacklevel=2)
@@ -181,13 +197,11 @@ def drive_map(
     the liquid-crystal cell.
 
     ``base`` is the slab at rest.  It replaces the meta-lens's own base
-    geometry (resolved here, once, not per drive) and is required for the
-    liquid-crystal cell.
+    geometry and is required for the liquid-crystal cell.
     """
     if isinstance(actuator, MetaLensActuator):
-        if base is not None:
-            actuator = replace(actuator, base_geometry=base)
-        return lambda v: metalens_apply(actuator, v), 0.0, actuator.v_max_v
+        return (lambda v: metalens_apply(actuator, v, base),
+                0.0, actuator.v_max_v)
     if not isinstance(actuator, LiquidCrystalActuator):
         raise ValueError(f"voltage drive requires an actuator, got {actuator!r}")
     if base is None:
@@ -209,16 +223,13 @@ def solve_index_for_angle(
         OutOfMaterialRange: the required index falls outside the physical
             material band.
     """
-    if not 0.0 < theta_target.radians < math.pi / 2:
-        raise ValueError(
-            f"theta_target must lie in (0, 90) deg, got {theta_target.degrees:.6g}")
-    if not slit_um > 0:
-        raise ValueError(f"slit_um must be > 0, got {slit_um}")
+    _TARGET_ANGLE.check("theta_target", theta_target.degrees)
+    OPTICS_BOUNDS["slit_um"].check("slit_um", slit_um)
     numerator = (n_air * math.sin(wave.incidence.radians)
                  + wave.order * wave.wavelength.nanometres / (slit_um * 1e3))
     n = numerator / math.sin(theta_target.radians)
-    lo, hi = INDEX_RANGE
-    if not lo < n <= hi:
+    if not OPTICS_BOUNDS["n_ris"].ok(n):
+        lo, hi = INDEX_RANGE
         raise OutOfMaterialRange(
             f"required index {n:.6g} outside the material band ({lo}, {hi}]")
     return n
@@ -234,8 +245,7 @@ def solve_depth_for_spot(
 ) -> float:
     """Slab depth whose central lobe has the target full width (closed
     form); propagates NullBeyondHorizon when no first null exists."""
-    if not spot_target_mm > 0:
-        raise ValueError(f"spot_target_mm must be > 0, got {spot_target_mm}")
+    POSITIVE.check("spot_target_mm", spot_target_mm)
     probe = SteeringGeometry(slit_um=slit_um, depth_mm=1.0, pd_length_mm=1.0,
                              n_ris=n_ris, n_air=n_air)
     null = first_null_angle(probe, wave)

@@ -1,10 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
+from ris_vlc.optics import (BOUNDS, Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, TotalInternalReflection,
                             Wavelength, refraction_angle, snell_angle)
 
@@ -42,6 +43,31 @@ class TestDomainTypes:
             geom(n=2.6)
         with pytest.raises(ValueError):
             geom(n_air=1.1)
+
+    @pytest.mark.parametrize("key, build", [
+        ("slit_um", lambda v: geom(slit=v)),
+        ("depth_mm", lambda v: geom(depth=v)),
+        ("pd_length_mm", lambda v: geom(pd=v)),
+        ("n_ris", lambda v: geom(n=v)),
+        ("n_air", lambda v: geom(n_air=v)),
+        ("wavelength_nm", Wavelength),
+        ("incidence_deg", lambda v: wave(inc=v)),
+        ("power_w", lambda v: wave(power=v)),
+        ("order", lambda v: wave(order=v)),
+    ])
+    def test_types_accept_what_their_bound_accepts(self, key, build):
+        """Each type checks its fields against the one bound table, with
+        the table's text, and no bound lets NaN or +-inf through."""
+        bound = BOUNDS[key]
+        for bad in (math.nan, math.inf, -math.inf):
+            assert not bound.ok(bad)
+        for value in (-1.0, 0, 1, 1.0005, 2, 3, 80.0, 95.0, 1500.0, 1e300):
+            if bound.ok(value):
+                build(value)
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{key} must {bound.text}, got")):
+                    build(value)
 
     def test_wave_invariants(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ris_vlc.cli import _build_parser, main
 from ris_vlc import _g17
@@ -46,6 +46,11 @@ def clamped():
                        "curves": {"voltage_v": [0, 1.5, 10, 2.75, 10]}}
     return data
 
+
+METALENS = {"type": "metalens", "v_max_v": 1000.0, "stretch_max": 1.5}
+LC = {"type": "lc", "v_on_v": 3.0, "v_sat_v": 5.0, "n_base": 1.5,
+      "delta_n": 0.3}
+LANDING = {"kind": "pd_landing", "value_mm": 0.4, "free": "voltage"}
 
 CLAMP = "drive 10 V clamped to saturation 5 V"
 
@@ -395,6 +400,55 @@ class TestCli:
         assert any(where in v for v in record["violations"])
         assert not out.exists()
 
+    @pytest.mark.parametrize("actuator, where", [
+        (METALENS | {"v_max_v": math.inf}, "actuator.v_max_v: must be finite"),
+        (METALENS | {"stretch_max": math.inf},
+         "actuator.stretch_max: must be finite"),
+        (LC | {"v_sat_v": math.inf}, "actuator.v_sat_v: must be finite"),
+        (METALENS | {"stretch_max": 1e300},
+         "actuator: stretch_max 1e+300 leaves no valid slab at full stretch"),
+    ])
+    @pytest.mark.parametrize("mode, block", [
+        ("design", {"design": LANDING}),
+        ("sweep", {"sweep": {"parameter": "voltage", "from_v": 0.0,
+                             "to_v": 6.0, "steps": 3}}),
+        ("eval", {"profile": {"samples": 5,
+                              "curves": {"voltage_v": [0.0, 4.0]}}}),
+    ])
+    def test_unbounded_actuator_field_is_validation_error(
+            self, tmp_path, capsys, actuator, where, mode, block):
+        data = minimal() | {"actuator": actuator} | block
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        code = main([mode, "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["error"] == "ScenarioError"
+        (violation,) = record["violations"]
+        assert violation.startswith(where)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep, actuator", [
+        ({"parameter": "incidence", "from_deg": 0, "to_deg": 60.0}, None),
+        ({"parameter": "voltage", "from_v": 0, "to_v": 6.0},
+         {"preset": "lc-sun2019"}),
+    ])
+    def test_log_sweep_from_zero_is_validation_error(self, tmp_path, capsys,
+                                                     sweep, actuator):
+        data = minimal()
+        data["sweep"] = sweep | {"steps": 3, "spacing": "log"}
+        if actuator is not None:
+            data["actuator"] = actuator
+        from_key = next(k for k in sweep if k.startswith("from_"))
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        code = main(["sweep", "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["violations"] == [
+            f"sweep.{from_key}: must be > 0 for log spacing, got 0"]
+        assert not out.exists()
+
     def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
         data = minimal()
         eval_path = write_scenario(tmp_path, data, name="single")
@@ -706,3 +760,81 @@ def test_eval_profile_cli_contract(profile, slit, incidence, actuator):
             members = len(values)
             lines = profile_csv.read_text().splitlines()
             assert len(lines) == 1 + members * profile["samples"]
+
+
+# One scenario of every mode, with the voltage paths of both actuator
+# types, as (subcommand, blocks beside geometry and wave).
+_MODES = [
+    ("eval", {"profile": {"samples": 5}}),
+    ("eval", {"actuator": METALENS, "profile": {
+        "samples": 5, "curves": {"voltage_v": [0.0, 500.0, 1000.0]}}}),
+    ("sweep", {"sweep": {"parameter": "incidence", "from_deg": 1.0,
+                         "to_deg": 80.0, "steps": 4, "spacing": "log"}}),
+    ("sweep", {"actuator": LC, "sweep": {
+        "parameter": "voltage", "from_v": 0.0, "to_v": 6.0, "steps": 4,
+        "curves": {"depth_mm": [0.5, 1.0]}}}),
+    ("sweep", {"actuator": METALENS, "sweep": {
+        "parameter": "voltage", "from_v": 0.0, "to_v": 1000.0, "steps": 4,
+        "baseline": {"n_ris": 1.4}}}),
+    ("design", {"design": {"kind": "refraction_angle", "value_deg": 30.0,
+                           "free": "n_ris"}}),
+    ("design", {"design": {"kind": "spot_width", "value_mm": 0.5,
+                           "free": "depth"}}),
+    ("design", {"actuator": METALENS, "design": LANDING}),
+    ("design", {"actuator": LC, "design": LANDING}),
+    ("bench", {"bench": {"front_ends": ["convex", "lc_ris", "metalens_ris"],
+                         "step_deg": 10.0}}),
+    ("bench", {"bench": {"front_ends": ["cmbbp", "lc_ris"],
+                         "step_deg": 0.5}}),
+]
+_MUTABLE = ([("geometry", k) for k in ("slit_um", "depth_mm", "pd_length_mm",
+                                       "n_ris", "n_air")]
+            + [("wave", k) for k in ("wavelength_nm", "incidence_deg",
+                                     "power_w", "order")]
+            + [("actuator", k) for k in ("v_max_v", "stretch_max", "v_on_v",
+                                         "v_sat_v", "n_base", "delta_n")])
+_VALUES = (st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e300,
+                            -1e300, 2])
+           | st.floats(0.1, 10.0) | st.floats(100.0, 2000.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(_MODES),
+       mutations=st.lists(st.tuples(st.sampled_from(_MUTABLE), _VALUES),
+                          min_size=1, max_size=2))
+# Actuator fields that once passed validation and then raised inside a
+# voltage solve, sweep or profile.
+@example(mode=_MODES[7], mutations=[(("actuator", "v_max_v"), math.inf)])
+@example(mode=_MODES[7], mutations=[(("actuator", "stretch_max"), math.inf)])
+@example(mode=_MODES[8], mutations=[(("actuator", "v_sat_v"), math.inf)])
+@example(mode=_MODES[8], mutations=[(("actuator", "n_base"), 0.5)])
+@example(mode=_MODES[4], mutations=[(("actuator", "stretch_max"), 1e300)])
+@example(mode=_MODES[1], mutations=[(("actuator", "stretch_max"), 1e300)])
+def test_scenario_cli_contract(mode, mutations):
+    """Any mode with mutated geometry, wave or actuator fields ends in a
+    mapped exit code and a JSON record on failure; what it writes is
+    whole, and a failed run writes nothing but an evaluation's summary."""
+    command, blocks = mode
+    data = json.loads(json.dumps(minimal() | blocks))
+    for (block, key), value in mutations:
+        if block in data and (block != "actuator" or key in data[block]):
+            data[block][key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), data)
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", str(path), "--out", str(out),
+                         "--quiet"])
+        assert code in (0, 2, 3, 4)
+        written = {p.name: p.read_text() for p in out.glob("*")}
+    if code:
+        assert "error" in json.loads(err.getvalue().splitlines()[-1])
+        assert set(written) <= {"case_summary.csv"}
+    else:
+        assert "case.meta.json" in written
+    for name, text in written.items():
+        if name.endswith(".csv"):
+            lines = text.splitlines()
+            assert text.endswith("\n") and len(lines) >= 2
+            assert {line.count(",") for line in lines} == {lines[0].count(",")}

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -99,6 +100,42 @@ class TestActuatorBlock:
         data = minimal()
         data["actuator"] = {"preset": "unknown"}
         assert any("actuator.preset" in e for e in errors_of(data))
+
+
+    def test_inline_lc_defaults_are_the_class_defaults(self):
+        data = minimal()
+        data["actuator"] = {"type": "lc", "n_base": 1.5}
+        assert scenario_from_dict(data).actuator == \
+            LiquidCrystalActuator(n_base=1.5)
+
+    @pytest.mark.parametrize("actuator, errors", [
+        ({"type": "metalens", "v_max_v": -1.0, "stretch_max": math.inf},
+         ["actuator.v_max_v: must be finite and > 0, got -1",
+          "actuator.stretch_max: must be finite and > 1, got inf"]),
+        ({"type": "lc", "v_on_v": 0, "n_base": 2.4},
+         ["actuator.v_on_v: must be finite and > 0, got 0"]),
+        ({"type": "lc", "n_base": 2.4},
+         ["actuator: n_base + delta_n = 2.7 exceeds 2.5"]),
+        ({"type": "metalens", "v_max_v": 1.0, "stretch_max": 1e300},
+         ["actuator: stretch_max 1e+300 leaves no valid slab at full stretch"]),
+    ])
+    def test_field_bounds_by_path_and_joint_rules_by_block(self, actuator,
+                                                           errors):
+        data = minimal()
+        data["actuator"] = actuator
+        assert errors_of(data) == errors
+
+    @pytest.mark.parametrize("block", [
+        {"design": {"kind": "pd_landing", "value_mm": 0.4, "free": "voltage"}},
+        {"sweep": {"parameter": "voltage", "from_v": 0.0, "to_v": 6.0,
+                   "steps": 3}},
+        {"profile": {"samples": 5, "curves": {"voltage_v": [0.0, 4.0]}}},
+    ])
+    def test_invalid_actuator_is_reported_once(self, block):
+        data = minimal() | block
+        data["actuator"] = {"type": "lc", "n_base": math.nan}
+        assert errors_of(data) == [
+            "actuator.n_base: must lie in (1.0, 2.5], got nan"]
 
 
 class TestBlockValidation:

@@ -64,6 +64,25 @@ class TestMetaLensMap:
         assert all(b > a for a, b in zip(slits, slits[1:]))
 
 
+    def test_base_override(self):
+        act, base = metalens(stretch_max=2.0), geom(slit=10.0)
+        assert metalens_apply(act, 0.0, base) == base
+        assert metalens_apply(act, 1000.0, base).slit_um == 20.0
+
+    @pytest.mark.parametrize("field", ["v_max_v", "stretch_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+    def test_fields_finite_and_in_bounds(self, field, value):
+        fields = {"v_max_v": 1000.0, "stretch_max": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MetaLensActuator(base_geometry=geom(), **fields)
+
+    @pytest.mark.parametrize("stretch_max, slit", [(1e300, 100.0),
+                                                   (2.0, 1e308)])
+    def test_full_stretch_must_be_a_valid_slab(self, stretch_max, slit):
+        with pytest.raises(ValueError, match="no valid slab at full stretch"):
+            metalens(stretch_max=stretch_max, base=geom(slit=slit))
+
+
 class TestLiquidCrystalMap:
     def test_below_threshold_flat(self):
         act = LiquidCrystalActuator(n_base=1.5, delta_n=0.3)
@@ -97,6 +116,13 @@ class TestLiquidCrystalMap:
             LiquidCrystalActuator(delta_n=0.5)
         with pytest.raises(ValueError):
             LiquidCrystalActuator(n_base=2.3, delta_n=0.3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("v_on_v", 0.0), ("v_on_v", math.nan), ("v_sat_v", math.inf),
+        ("n_base", 1.0), ("n_base", -math.inf), ("n_base", math.nan)])
+    def test_fields_in_bounds(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            LiquidCrystalActuator(**{field: value})
 
     def test_monotone_nondecreasing(self):
         act = LiquidCrystalActuator(n_base=1.5, delta_n=0.25)
