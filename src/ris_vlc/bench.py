@@ -19,7 +19,7 @@ from pathlib import Path
 from .optics import (BOUNDS as OPTICS_BOUNDS, POSITIVE, Angle, EvanescentOrder,
                      IncidentWave, SteeringGeometry, Wavelength, interval)
 from .radiometry import transmittance
-from .diffraction import steering_offset_mm
+from .diffraction import pattern_power_fraction, steering_offset_mm
 from .tuning import (Actuator, DesignTarget, Infeasible, MetaLensActuator,
                      NonMonotonic, actuator_preset, drive_map, solve_voltage)
 
@@ -58,8 +58,9 @@ _CMBBP_FLOOR = 0.5
 
 _ANGLE_EPS_DEG = 1e-9
 
-# Rotation-sweep inputs, by the scenario key that carries them.
-BOUNDS = {"step_deg": interval(0, 90, lo_open=True)}
+# Rotation-sweep inputs, by the scenario key that carries them.  The
+# finest step keeps a sweep at 90001 rotations.
+BOUNDS = {"step_deg": interval(1e-3, 90)}
 
 
 @dataclass(frozen=True)
@@ -175,37 +176,59 @@ def _cmbbp_rolloff(fe: ReceiverFrontEnd, deg: float) -> float:
     return 1.0 - (1.0 - _CMBBP_FLOOR) * (deg - start) / (edge - start)
 
 
-def _detect_ris(fe: ReceiverFrontEnd, rotation: Angle) -> tuple[bool, float]:
-    wave = IncidentWave(Wavelength(fe.wavelength_nm), rotation, order=1)
-    apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
-    state = apply(v_rest)
-    half = state.pd_length_mm / 2
-    try:
-        landing_rest = steering_offset_mm(state, wave)
-        landing_full = steering_offset_mm(apply(v_full), wave)
-        if landing_full > half + 1e-12:
-            return (False, 0.0)  # not steerable onto the detector
-        if landing_rest > half:
-            target = DesignTarget("pd_landing", half, wave, fe.geometry,
-                                  "voltage")
-            state = apply(solve_voltage(target, fe.actuator))
-        return (True, transmittance(state, wave).value)
-    except (EvanescentOrder, Infeasible, NonMonotonic):
-        return (False, 0.0)
+class _Detector:
+    """``detect`` for one front end, built once per sweep.
+
+    A tunable front end's drive map, its rest and full-drive slabs, its
+    wavelength and, on first use, the rest slab's capture fraction do not
+    depend on the rotation, so they are made once here and shared by
+    every rotation.
+    """
+
+    def __init__(self, fe: ReceiverFrontEnd) -> None:
+        self.fe = fe
+        if fe.kind in RIS_KINDS:
+            self.apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
+            self.rest, self.full = self.apply(v_rest), self.apply(v_full)
+            self.wavelength = Wavelength(fe.wavelength_nm)
+            self.rest_capture: float | None = None
+
+    def __call__(self, rotation: Angle) -> tuple[bool, float]:
+        deg = rotation.degrees
+        OPTICS_BOUNDS["incidence_deg"].check("rotation", deg)
+        if deg > self.fe.max_incidence.degrees + _ANGLE_EPS_DEG:
+            return (False, 0.0)
+        if self.fe.kind in RIS_KINDS:
+            return self._steer(rotation)
+        intensity = math.cos(rotation.radians)
+        if self.fe.kind == "cmbbp":
+            intensity *= _cmbbp_rolloff(self.fe, deg)
+        return (True, intensity)
+
+    def _steer(self, rotation: Angle) -> tuple[bool, float]:
+        wave = IncidentWave(self.wavelength, rotation, order=1)
+        half = self.rest.pd_length_mm / 2
+        try:
+            landing_rest = steering_offset_mm(self.rest, wave)
+            if steering_offset_mm(self.full, wave) > half + 1e-12:
+                return (False, 0.0)  # not steerable onto the detector
+            if landing_rest > half:
+                target = DesignTarget("pd_landing", half, wave,
+                                      self.fe.geometry, "voltage")
+                state = self.apply(solve_voltage(target, self.fe.actuator))
+                return (True, transmittance(state, wave).value)
+            if self.rest_capture is None:
+                self.rest_capture = pattern_power_fraction(self.rest, wave,
+                                                           half)
+            return (True, transmittance(self.rest, wave,
+                                        capture=self.rest_capture).value)
+        except (EvanescentOrder, Infeasible, NonMonotonic):
+            return (False, 0.0)
 
 
 def detect(front_end: ReceiverFrontEnd, rotation: Angle) -> tuple[bool, float]:
     """(detected, relative intensity) at one receiver rotation."""
-    deg = rotation.degrees
-    OPTICS_BOUNDS["incidence_deg"].check("rotation", deg)
-    if deg > front_end.max_incidence.degrees + _ANGLE_EPS_DEG:
-        return (False, 0.0)
-    if front_end.kind in RIS_KINDS:
-        return _detect_ris(front_end, rotation)
-    intensity = math.cos(rotation.radians)
-    if front_end.kind == "cmbbp":
-        intensity *= _cmbbp_rolloff(front_end, deg)
-    return (True, intensity)
+    return _Detector(front_end)(rotation)
 
 
 def rotation_sweep(front_end: ReceiverFrontEnd, step_deg: float) -> RotationSweepResult:
@@ -217,13 +240,10 @@ def rotation_sweep(front_end: ReceiverFrontEnd, step_deg: float) -> RotationSwee
         angles.append(90.0)
     else:
         angles[-1] = 90.0
-    detected: list[bool] = []
-    intensity: list[float] = []
-    for deg in angles:
-        d, i = detect(front_end, Angle.from_degrees(deg))
-        detected.append(d)
-        intensity.append(i)
-    return RotationSweepResult(tuple(angles), tuple(detected), tuple(intensity))
+    detector = _Detector(front_end)
+    detected, intensity = zip(*(detector(Angle.from_degrees(deg))
+                                for deg in angles))
+    return RotationSweepResult(tuple(angles), detected, intensity)
 
 
 def compare_table(

@@ -65,7 +65,8 @@ _TAN_HORIZON = math.tan(_HORIZON)
 _TAIL_WARN = 1e-3
 
 # Detector-profile inputs, by the scenario key that carries them.
-BOUNDS = {"samples": Bound(lambda n: n >= 3, "be >= 3", integer=True)}
+BOUNDS = {"samples": Bound(lambda n: 3 <= n <= 10**6, "lie in [3, 1000000]",
+                          integer=True)}
 
 
 class NullBeyondHorizon(Exception):

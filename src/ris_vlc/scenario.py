@@ -15,6 +15,7 @@ A scenario activates exactly one of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -54,7 +55,8 @@ _SPACINGS = ("linear", "log")
 # members and baselines are held to the bound of the field they set.
 _BOUNDS = {**optics.BOUNDS, **tuning.BOUNDS, **diffraction.BOUNDS,
            **bench.BOUNDS,
-           "steps": Bound(lambda n: n >= 2, "be >= 2", integer=True)}
+           "steps": Bound(lambda n: 2 <= n <= 10**5, "lie in [2, 100000]",
+                          integer=True)}
 
 
 def _defaults(cls: type, *names: str) -> dict[str, Any]:
@@ -131,6 +133,16 @@ def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _real(value: int | float) -> float:
+    """``value`` as a float.  An integer literal beyond float range reads
+    as the infinity of its sign, as the same number written with an
+    exponent does in JSON, so that its field's bound rejects it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_unit_keys(node: Any, path: str, errors: list[str]) -> None:
     if not isinstance(node, dict):
         return
@@ -158,7 +170,7 @@ def _take(block: dict, path: str, key: str, errors: list[str],
     value = block[key]
     integer = key in _BOUNDS and _BOUNDS[key].integer
     if _is_number(value) and (isinstance(value, int) or not integer):
-        return value if integer else float(value)
+        return value if integer else _real(value)
     kind = "an integer" if integer else "a number"
     errors.append(f"{path}.{key}: must be {kind}, got {value!r}")
     return default
@@ -265,9 +277,10 @@ def _parse_curves(block: Any, path: str, has_actuator: bool, errors: list[str],
         return None
     if key == "voltage_v" and not has_actuator:
         errors.append(f"{path}: voltage curve requires an actuator block")
+    values = tuple(map(_real, values))
     for k, v in enumerate(values):
         _bounded(path, key, v, errors, f"[{k}]")
-    return (key, tuple(float(v) for v in values))
+    return (key, values)
 
 
 def _parse_profile(block: dict, has_actuator: bool,
@@ -328,9 +341,9 @@ def _parse_sweep(block: dict, has_actuator: bool,
             errors.append(f"{path}.baseline: must map keys from "
                           f"{_BASELINE_KEYS} to numbers")
         else:
-            for k, v in b.items():
+            baseline = tuple((k, _real(v)) for k, v in b.items())
+            for k, v in baseline:
                 _bounded(f"{path}.baseline", k, v, errors)
-            baseline = tuple((k, float(v)) for k, v in b.items())
     if MISSING in (start, stop, steps) or spacing not in _SPACINGS:
         return None
     return SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps,
@@ -461,5 +474,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal beyond Python's digit limit, or nesting beyond
+        # the decoder's recursion limit
+        raise ScenarioError([f"parse error: {exc}"]) from exc
     return scenario_from_dict(data, name=path.stem)
 

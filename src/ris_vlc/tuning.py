@@ -9,14 +9,16 @@ stated monotone proportionality) and clamp outside their active interval:
   * liquid-crystal cell: n(v) ramps linearly from n_base at the threshold
     voltage to n_base + delta_n at saturation, geometry unchanged.
 
-``drive_map`` is the one place that tells the two actuators apart: it
+``drive_map`` is the one place that tells the two forward maps apart: it
 returns an actuator's drive-to-geometry map over a base slab together
 with its active drive interval, for voltage solves, voltage sweeps and
 the rotation bench alike.
 
-Inverse solvers either use the closed form (index, depth) or bisect the
-forward pipeline over the drive interval (voltage), exploiting the
-monotonicity of the maps.
+Inverse solvers use the closed form where one exists: the index, the
+depth and the liquid-crystal drive (every target metric inverts to a
+slab index, and the index ramp is linear in the drive).  The meta-lens
+drive is bisected over its drive interval, exploiting the monotonicity
+of the map: its landing equation is a sextic in the stretch.
 """
 
 from __future__ import annotations
@@ -210,6 +212,15 @@ def drive_map(
             actuator.v_on_v, actuator.v_sat_v)
 
 
+def _index_for_sine(wave: IncidentWave, slit_um: float, sin_out: float,
+                    n_air: float) -> float:
+    """Slab index that steers ``wave`` to the angle whose sine is
+    ``sin_out``: the steering equation solved for n_ris."""
+    numerator = (n_air * math.sin(wave.incidence.radians)
+                 + wave.order * wave.wavelength.nanometres / (slit_um * 1e3))
+    return numerator / sin_out
+
+
 def solve_index_for_angle(
     wave: IncidentWave,
     slit_um: float,
@@ -225,9 +236,7 @@ def solve_index_for_angle(
     """
     _TARGET_ANGLE.check("theta_target", theta_target.degrees)
     OPTICS_BOUNDS["slit_um"].check("slit_um", slit_um)
-    numerator = (n_air * math.sin(wave.incidence.radians)
-                 + wave.order * wave.wavelength.nanometres / (slit_um * 1e3))
-    n = numerator / math.sin(theta_target.radians)
+    n = _index_for_sine(wave, slit_um, math.sin(theta_target.radians), n_air)
     if not OPTICS_BOUNDS["n_ris"].ok(n):
         lo, hi = INDEX_RANGE
         raise OutOfMaterialRange(
@@ -260,6 +269,28 @@ def _evaluate_metric(kind: str, geom: SteeringGeometry, wave: IncidentWave) -> f
     return steering_offset_mm(geom, wave)
 
 
+def _lc_drive(act: LiquidCrystalActuator, kind: str, value: float,
+              geom: SteeringGeometry, wave: IncidentWave) -> float:
+    """Drive at which the liquid-crystal cell over ``geom`` meets the
+    target metric ``value`` (closed form).
+
+    Each target kind inverts to a slab index: the refraction angle
+    directly, the landing L through theta = atan(L / y), the spot width W
+    through n = lambda / (a sin(atan(W / 2y))).  The linear index ramp
+    then inverts to the drive, clamped to [v_on, v_sat].
+    """
+    if kind == "spot_width":
+        sin_null = math.sin(math.atan(value / (2.0 * geom.depth_mm)))
+        n = wave.wavelength.nanometres / (geom.slit_um * 1e3 * sin_null)
+    else:
+        theta = (math.radians(value) if kind == "refraction_angle"
+                 else math.atan(value / geom.depth_mm))
+        n = _index_for_sine(wave, geom.slit_um, math.sin(theta), geom.n_air)
+    level = (n - act.n_base) / act.delta_n
+    v = act.v_on_v + level * (act.v_sat_v - act.v_on_v)
+    return min(max(v, act.v_on_v), act.v_sat_v)
+
+
 def _bisect_monotone(
     f: Callable[[float], float],
     lo: float,
@@ -268,11 +299,14 @@ def _bisect_monotone(
     *,
     rel_tol: float = 1e-6,
     max_steps: int = 60,
+    inverse: Callable[[float], float] | None = None,
 ) -> float:
     """Bisection for a monotone (either direction) metric on [lo, hi].
 
     Raises Infeasible when the target is outside [f(lo), f(hi)] and
     NonMonotonic when midpoint values escape the current bracket.
+    ``inverse``, the closed-form solution of f(x) = target when one
+    exists, replaces the bisection; the end checks still come first.
     """
     f_lo, f_hi = f(lo), f(hi)
     scale = max(abs(target), 1e-30)
@@ -286,6 +320,8 @@ def _bisect_monotone(
         return lo
     if abs(f_hi - target) <= slack:
         return hi
+    if inverse is not None:
+        return inverse(target)
     increasing = f_hi > f_lo
     for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
@@ -315,14 +351,20 @@ def solve_voltage(
 ) -> float:
     """Drive voltage meeting the target metric within ``rel_tol`` relative.
 
-    Bisects the forward pipeline (apply actuator, evaluate the target
-    kind) over [0, v_max] for the meta-lens or [v_on, v_sat] for the
-    liquid-crystal cell.
+    The forward pipeline (apply actuator, evaluate the target kind) is
+    evaluated at both ends of the drive interval, [0, v_max] for the
+    meta-lens or [v_on, v_sat] for the liquid-crystal cell, to check the
+    target is reachable.  The liquid-crystal drive then follows in closed
+    form; the meta-lens drive is bisected.
     """
     apply, lo, hi = drive_map(actuator, target.geometry)
     forward = lambda v: _evaluate_metric(target.kind, apply(v), target.wave)
-    return _bisect_monotone(forward, lo, hi, target.value,
-                            rel_tol=rel_tol, max_steps=max_steps)
+    inverse = None
+    if isinstance(actuator, LiquidCrystalActuator):
+        inverse = lambda value: _lc_drive(actuator, target.kind, value,
+                                          target.geometry, target.wave)
+    return _bisect_monotone(forward, lo, hi, target.value, rel_tol=rel_tol,
+                            max_steps=max_steps, inverse=inverse)
 
 
 def _metalens_she2018(base_geometry: SteeringGeometry | None) -> MetaLensActuator:

@@ -1,12 +1,16 @@
 import math
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ris_vlc.bench import (KINDS, RIS_KINDS, ReceiverFrontEnd,
                            compare_table, default_front_end, detect,
                            format_table, rotation_sweep, table_to_csv)
 from ris_vlc.optics import Angle, SteeringGeometry
+from ris_vlc.tuning import LiquidCrystalActuator, MetaLensActuator
 
 
 def deg(value):
@@ -49,9 +53,10 @@ class TestDetect:
                 assert intensity == 1.0
 
     def test_lc_ris_at_grazing(self):
-        found, intensity = detect(default_front_end("lc_ris"), deg(90.0))
-        assert found
-        assert intensity == 0.0  # cos factor kills the projected power
+        for kind in RIS_KINDS:  # the meta-lens too
+            found, intensity = detect(default_front_end(kind), deg(90.0))
+            assert found
+            assert intensity == 0.0  # cos factor kills the projected power
 
     def test_cos_law_for_legacy(self):
         found, intensity = detect(default_front_end("spherical"), deg(30.0))
@@ -108,6 +113,13 @@ class TestRotationSweep:
         with pytest.raises(ValueError):
             rotation_sweep(fe, 91.0)
 
+    def test_finest_step_bounds_the_sweep(self):
+        fe = default_front_end("convex")
+        with pytest.raises(ValueError, match=r"step_deg must lie in "
+                                             r"\[0.001, 90\], got 1e-09"):
+            rotation_sweep(fe, 1e-9)
+        assert len(rotation_sweep(fe, 1e-3).angles_deg) == 90001
+
     def test_metalens_geometry_replaces_actuator_base(self):
         fe = default_front_end("metalens_ris")
         slab = SteeringGeometry(slit_um=80.0, depth_mm=0.6, pd_length_mm=0.8,
@@ -152,3 +164,59 @@ class TestCompareTable:
         assert lines[2].startswith("lc_ris,90,")
         text = format_table(rows)
         assert "convex" in text and "2-5 V" in text
+
+
+_TAIL_WARNING = "normalisation tail beyond the 89.9 deg horizon"
+
+
+@st.composite
+def front_ends(draw):
+    """Legacy front ends with their envelope moved, and tunable ones with a
+    random slab, wavelength and actuator."""
+    kind = draw(st.sampled_from(KINDS))
+    fe = default_front_end(kind)
+    if kind not in RIS_KINDS:
+        if kind == "cmbbp":
+            return fe
+        cap = fe.max_incidence.degrees if kind != "adj_lens" else 89.0
+        return replace(fe, max_incidence=deg(draw(st.floats(1.0, cap))))
+    slab = SteeringGeometry(slit_um=draw(st.floats(0.5, 200.0)),
+                            depth_mm=draw(st.floats(0.05, 5.0)),
+                            pd_length_mm=draw(st.floats(0.05, 2.0)),
+                            n_ris=draw(st.floats(1.3, 2.0)))
+    if kind == "lc_ris":
+        v_on = draw(st.floats(0.5, 4.0))
+        actuator = LiquidCrystalActuator(
+            v_on_v=v_on, v_sat_v=v_on + draw(st.floats(0.5, 5.0)),
+            n_base=draw(st.floats(1.2, 2.0)),
+            delta_n=draw(st.floats(0.2, 0.4)))
+    else:
+        actuator = MetaLensActuator(v_max_v=draw(st.floats(10.0, 2000.0)),
+                                    stretch_max=draw(st.floats(1.05, 3.0)),
+                                    base_geometry=slab)
+    return replace(fe, actuator=actuator, geometry=slab,
+                   wavelength_nm=draw(st.floats(300.0, 1500.0)))
+
+
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, Counter(str(w.message) for w in caught)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fe=front_ends(),
+       step=st.floats(2.0, 90.0) | st.sampled_from([0.9, 1.0, 7.5, 90.0]))
+def test_sweep_equals_detect_at_every_rotation(fe, step):
+    """A sweep reports exactly what ``detect`` reports rotation by rotation,
+    and raises the same warnings; only the horizon tail bound may fire
+    less often, once per slab state instead of once per rotation."""
+    sweep, swept = _recorded(lambda: rotation_sweep(fe, step))
+    single, each = _recorded(lambda: [detect(fe, deg(a))
+                                      for a in sweep.angles_deg])
+    assert list(zip(sweep.detected, sweep.relative_intensity)) == single
+    assert set(swept) == set(each)
+    for message, count in each.items():
+        if not message.startswith(_TAIL_WARNING):
+            assert swept[message] == count

@@ -810,6 +810,9 @@ _VALUES = (st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e300,
 @example(mode=_MODES[8], mutations=[(("actuator", "n_base"), 0.5)])
 @example(mode=_MODES[4], mutations=[(("actuator", "stretch_max"), 1e300)])
 @example(mode=_MODES[1], mutations=[(("actuator", "stretch_max"), 1e300)])
+# An integer literal of 400 digits, beyond float range, once crashed the
+# field reader.
+@example(mode=_MODES[0], mutations=[(("geometry", "slit_um"), 10 ** 399)])
 def test_scenario_cli_contract(mode, mutations):
     """Any mode with mutated geometry, wave or actuator fields ends in a
     mapped exit code and a JSON record on failure; what it writes is

@@ -7,6 +7,9 @@ from ris_vlc.scenario import ScenarioError, load_scenario, scenario_from_dict
 from ris_vlc.tuning import LiquidCrystalActuator, MetaLensActuator
 
 
+HUGE = 10 ** 399  # an integer literal of 400 digits
+
+
 def minimal():
     return {
         "geometry": {"slit_um": 4.0, "depth_mm": 0.75, "pd_length_mm": 1.0,
@@ -66,6 +69,16 @@ class TestLoading:
         path = tmp_path / "broken.json"
         path.write_text('{"geometry": {,}}')
         with pytest.raises(ScenarioError, match=r"line 1, column"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("text, reason", [
+        (json.dumps(minimal()).replace("4.0", "1" + "0" * 5000), "digits"),
+        ('{"geometry": ' + "[" * 100_000 + "]" * 100_000 + "}", "recursion"),
+    ], ids=["digits", "recursion"])
+    def test_undecodable_json_is_parse_error(self, tmp_path, text, reason):
+        path = tmp_path / "case.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match=rf"^parse error: .*{reason}"):
             load_scenario(path)
 
     def test_name_from_file_stem(self, tmp_path):
@@ -207,6 +220,44 @@ class TestBlockValidation:
         data["bench"] = {"front_ends": "all", "step_deg": 5.0}
         sc = scenario_from_dict(data)
         assert "lc_ris" in sc.bench.front_ends
+
+    @pytest.mark.parametrize("block, key, limit, beyond, message", [
+        ("bench", "step_deg", 1e-3, 1e-9,
+         "bench.step_deg: must lie in [0.001, 90], got 1e-09"),
+        ("sweep", "steps", 100_000, 100_001,
+         "sweep.steps: must lie in [2, 100000], got 100001"),
+        ("profile", "samples", 1_000_000, 1_000_001,
+         "profile.samples: must lie in [3, 1000000], got 1000001"),
+    ])
+    def test_size_limits(self, block, key, limit, beyond, message):
+        blocks = {"bench": {"front_ends": ["convex"]},
+                  "sweep": {"parameter": "wavelength", "from_nm": 400.0,
+                            "to_nm": 800.0},
+                  "profile": {}}
+        data = minimal()
+        data[block] = {**blocks[block], key: limit}
+        scenario_from_dict(data)
+        data[block][key] = beyond
+        assert errors_of(data) == [message]
+
+    # Python's json reads an integer literal exactly, however long; the
+    # same number written with an exponent reads as inf.
+    @pytest.mark.parametrize("blocks, message", [
+        ({"geometry": minimal()["geometry"] | {"slit_um": HUGE}},
+         "geometry.slit_um: must be finite and > 0, got inf"),
+        ({"profile": {"samples": 5, "curves": {"depth_mm": [4.0, -HUGE]}}},
+         "profile.curves.depth_mm[1]: must be finite and > 0, got -inf"),
+        ({"sweep": {"parameter": "wavelength", "from_nm": 400.0,
+                    "to_nm": 800.0, "steps": 5, "baseline": {"slit_um": HUGE}}},
+         "sweep.baseline.slit_um: must be finite and > 0, got inf"),
+        ({"sweep": {"parameter": "depth", "from_mm": 0.5, "to_mm": HUGE,
+                    "steps": 5}},
+         "sweep.to_mm: must be finite and > 0, got inf"),
+    ])
+    def test_integer_beyond_float_range_is_out_of_bounds(self, blocks,
+                                                         message):
+        data = json.loads(json.dumps(minimal() | blocks))
+        assert errors_of(data) == [message]
 
     def test_profile_forbidden_with_sweep(self):
         data = minimal()

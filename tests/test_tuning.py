@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from ris_vlc import tuning
 from ris_vlc.diffraction import NullBeyondHorizon, first_null_angle, steering_offset_mm
-from ris_vlc.optics import (Angle, IncidentWave, SteeringGeometry, Wavelength,
-                            refraction_angle)
+from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
+                            SteeringGeometry, Wavelength, refraction_angle)
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                             MetaLensActuator, NonMonotonic, OutOfMaterialRange,
                             _bisect_monotone, actuator_preset, drive_map,
@@ -300,6 +301,125 @@ class TestSolveVoltage:
             v = solve_voltage(target, act)
             achieved = refraction_angle(lc_apply(act, v, base), w).degrees
             assert achieved == pytest.approx(value, rel=1e-6)
+
+
+def forward(kind, g, w):
+    """The target metric of a slab, from the forward pipeline."""
+    if kind == "refraction_angle":
+        return refraction_angle(g, w).degrees
+    if kind == "spot_width":
+        return 2.0 * g.depth_mm * math.tan(first_null_angle(g, w).radians)
+    return steering_offset_mm(g, w)
+
+
+def bisected_drive(act, kind, value, base, w):
+    """Reference drive: the forward map bisected until the bracket closes
+    to adjacent floats."""
+    f = lambda v: forward(kind, lc_apply(act, v, base), w)
+    lo, hi = act.v_on_v, act.v_sat_v
+    increasing = f(hi) > f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (f(mid) < value) == increasing:
+            lo = mid
+        else:
+            hi = mid
+
+
+def counting(monkeypatch, name):
+    """Calls of the tuning function ``name`` from here on."""
+    calls = []
+    original = getattr(tuning, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, name, counted)
+    return calls
+
+
+KINDS = ("refraction_angle", "pd_landing", "spot_width")
+
+
+class TestClosedFormLiquidCrystal:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_a_bisection_of_the_forward_map(self, kind):
+        rng = random.Random(kind)
+        for _ in range(200):
+            v_on = rng.uniform(0.5, 4.0)
+            act = LiquidCrystalActuator(
+                v_on_v=v_on, v_sat_v=v_on + rng.uniform(0.5, 5.0),
+                n_base=rng.uniform(1.4, 2.0), delta_n=rng.uniform(0.2, 0.4))
+            base = geom(slit=rng.uniform(5.0, 200.0),
+                        depth=rng.uniform(0.05, 5.0))
+            w = wave(rng.uniform(300.0, 1500.0), rng.uniform(0.0, 90.0))
+            span = act.v_sat_v - act.v_on_v
+            v_true = act.v_on_v + rng.uniform(0.05, 0.95) * span
+            value = forward(kind, lc_apply(act, v_true, base), w)
+            v = solve_voltage(DesignTarget(kind, value, w, base, "voltage"),
+                              act)
+            reference = bisected_drive(act, kind, value, base, w)
+            assert v == pytest.approx(reference, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_forward_evaluations_per_solve(self, kind, monkeypatch):
+        act, base, w = actuator_preset("lc-sun2019"), geom(slit=4.0), wave()
+        value = forward(kind, lc_apply(act, 4.2, base), w)
+        calls = counting(monkeypatch, "lc_apply")
+        solve_voltage(DesignTarget(kind, value, w, base, "voltage"), act)
+        assert [c[1] for c in calls] == [3.0, 5.0]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_infeasible_beyond_either_end(self, kind, end):
+        act, base, w = actuator_preset("lc-sun2019"), geom(slit=4.0), wave()
+        ends = sorted(forward(kind, lc_apply(act, v, base), w)
+                      for v in (act.v_on_v, act.v_sat_v))
+        value = ends[0] * (1 - 1e-5) if end == "low" else ends[1] * (1 + 1e-5)
+        with pytest.raises(Infeasible) as exc_info:
+            solve_voltage(DesignTarget(kind, value, w, base, "voltage"), act)
+        assert str(exc_info.value) == (
+            f"target {value:.9g} outside achievable interval "
+            f"[{ends[0]:.9g}, {ends[1]:.9g}]")
+        assert exc_info.value.achievable == tuple(ends)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_target_within_slack_of_an_end_returns_that_end(self, kind):
+        act, base, w = actuator_preset("lc-sun2019"), geom(slit=4.0), wave()
+        for v_end in (act.v_on_v, act.v_sat_v):
+            value = forward(kind, lc_apply(act, v_end, base), w) * (1 + 5e-7)
+            got = solve_voltage(DesignTarget(kind, value, w, base, "voltage"),
+                                act)
+            assert got == v_end
+
+    def test_bracket_end_errors_propagate(self):
+        act = LiquidCrystalActuator(n_base=1.5, delta_n=0.4)
+        # order 1 evanescent at n_base, propagating at full drive
+        target = DesignTarget("refraction_angle", 60.0, wave(lam=600.0),
+                              geom(slit=1.0), "voltage")
+        with pytest.raises(EvanescentOrder):
+            solve_voltage(target, act)
+        # no first null at n_base, one at full drive
+        target = DesignTarget("spot_width", 1.0, wave(lam=800.0, inc=0.0),
+                              geom(slit=0.5), "voltage")
+        with pytest.raises(NullBeyondHorizon):
+            solve_voltage(target, act)
+
+    @pytest.mark.parametrize("kind, evaluations", [
+        ("pd_landing", 18), ("refraction_angle", 12), ("spot_width", 18)])
+    def test_metalens_keeps_its_bisection(self, kind, evaluations,
+                                          monkeypatch):
+        act = metalens(stretch_max=1.5, base=geom(n=1.6))
+        w = wave(inc=80.0)
+        value = forward(kind, metalens_apply(act, 640.0), w)
+        calls = counting(monkeypatch, "metalens_apply")
+        v = solve_voltage(DesignTarget(kind, value, w, None, "voltage"), act)
+        assert len(calls) == evaluations
+        achieved = forward(kind, metalens_apply(act, v), w)
+        assert achieved == pytest.approx(value, rel=1e-6)
 
 
 class TestBisectionCore:
