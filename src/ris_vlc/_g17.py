@@ -5,16 +5,19 @@ double-double arithmetic (a Dekker two-product against columns of powers
 of ten exact to about 2**-106), with E = floor(log10 |x|), and rounded to
 the 17-digit integer D.  The scaled value is within 1e-13 of exact, so
 every cell further than 1e-9 from a rounding tie rounds as '%.17g' does.
-The cells closer to a tie, zero, non-finite values, exponents beyond
-_EXP_LIMIT and the cells whose scaled value lies within 16 of 1e16 or
-1e17 (where log10 may be one off, or D may carry to 10**17) are
-formatted by '%.17g' itself.
 
-``cell_words`` lays each cell out as four little-endian 64-bit words of
-ASCII bytes, NUL wherever the text has no byte; ``runner`` deletes the
-NULs from the bytes of a chunk of rows with one ``translate``.  No
-input makes numpy warn here, so no ``np.errstate`` is needed.  Only the
-profile path imports this module, and numpy with it.
+``cell_words`` lays out one kind of cell: E <= 0 and a nonzero digit
+among the last four of D.  Its text is the sign, the first digit with
+"0.000" before it (-4 <= E < 0) or '.' after it, the other 16 digits up
+to the last nonzero one, and the exponent if E < -4.  It writes it as
+four little-endian 64-bit words of ASCII bytes, NUL wherever the text
+has no byte; ``runner`` deletes the NULs from the bytes of a chunk of
+rows with one ``translate``.  '%.17g' itself formats every other cell:
+|x| >= 10, D ending in 0000, zero, non-finite values, exponents beyond
+_EXP_LIMIT, cells closer to a tie, and cells whose scaled value lies
+within 16 of 1e16 or 1e17 (where log10 may be one off, or D may carry
+to 10**17).  No input makes numpy warn here, so no ``np.errstate`` is
+needed.  Only the profile path imports this module, and numpy with it.
 """
 
 from __future__ import annotations
@@ -139,71 +142,41 @@ def _ascii4_table():
 
 
 _ASCII4 = _ascii4_table()
-# By q < 10**4: the digits of q up to its last nonzero one, counted from
-# the left of the 16 digits after the first, q being the last four.
-_LAST4 = 16 - sum((np.arange(10 ** 4) % 10 ** k == 0) for k in range(1, 5))
 
 
 # A cell is four little-endian 64-bit words; a byte outside the text is NUL:
 #   word 0    '-', the "0.000" before a small number's first digit, that
-#             first digit (byte 6) and the '.' after it (byte 7)
+#             first digit (byte 6) and, unless the "0.000" is shown, the
+#             '.' after it (byte 7)
 #   words 1-2 the other 16 digits, trailing zeros cut
-#   word 3    the exponent ("e-05", "e+123") and byte _END for the row's
+#   word 3    the exponent ("e-05", "e-123") and byte _END for the row's
 #             ',' or newline
-# In fixed notation with 1 <= E <= 16 the '.' (or, if no fraction is
-# shown, its NUL) moves from byte 7 to the byte after digit E.
 _END = 8 * 3 + 5
-_DOT = ord(".") << 56
 
 
 def _layout_tables():
-    """Lookup tables of the cell layout.
-
-    By row 2 * x + sign bit: word 0 without its first digit.  By x: word
-    3 without its row terminator, and the first row of x's class in the
-    mask tables.  By class row plus the 16 digits' count up to the last
-    nonzero one: the masks of words 0-2.  The classes: exponent notation
-    and E = 0 ('.' shown after the first digit if any digit follows),
-    -4 <= E < 0 ('.' in the "0.000"), and one class for each E from 1 to
-    16 (E digits shown before the '.', which shows only if more follow).
-    By E from 1 to 16: the byte order of a cell whose '.' moves.
-    """
-    upto = [(1 << 8 * n) - 1 for n in range(9)]  # the first n bytes
-    head, tail, klass = [], [], []
+    """Word 0 without its first digit, by row 2 * x + sign bit, and word
+    3 without its row terminator, by x.  Cells with E >= 1 go to '%.17g',
+    so their rows are never shown."""
+    head, tail = [], []
     for e in range(-_EXP_BIAS, 1 + _EXP_BIAS):
-        small, fixed = -4 <= e < 0, 1 <= e <= 16
+        small = -4 <= e < 0
         text = "0.000"[:1 - e] if small else ""
         word = int.from_bytes(text.encode(), "little") << 8
-        word |= ord("0") << 48 | (0 if small else _DOT)
+        word |= ord("0") << 48 | (0 if small else ord(".") << 56)
         head += [word, word | ord("-")]
         tail.append(int.from_bytes(
-            b"" if -4 <= e <= 16 else f"e{e:+03d}".encode(), "little"))
-        klass.append(17 * (1 if small else e + 1 if fixed else 0))
-    masks = []
-    for c in range(18):
-        whole, limit = (0, 0) if c == 0 else (0, 16) if c == 1 else (c - 1,) * 2
-        for last in range(17):
-            shown = max(last, whole)
-            masks.append([upto[8] if last > limit else upto[8] ^ _DOT,
-                          upto[min(shown, 8)], upto[max(shown - 8, 0)]])
-    order = [list(range(7)) + list(range(8, 8 + e)) + [7]
-             + list(range(8 + e, 32)) for e in range(1, 17)]
-    u64 = np.uint64
-    masks = np.array(masks, u64)
-    return {"head": np.array(head, u64), "tail": np.array(tail, u64),
-            "class": np.array(klass, np.intp),
-            "masks": tuple(np.ascontiguousarray(m) for m in masks.T),
-            "order": np.array(order, np.intp)}
+            f"e{e:+03d}".encode() if e < -4 else b"", "little"))
+    return np.array(head, np.uint64), np.array(tail, np.uint64)
 
 
-_LAYOUT = _layout_tables()
+_HEADS, _TAILS = _layout_tables()
 
 
 def cell_words(v, end, out):
     """Write the '%.17g' text of every v into ``out``, a (len(v), 4)
     uint64 array, four words a cell, NUL where no text is, with byte _END
     of each cell set to ``end`` (the row's ',' or newline)."""
-    t = _LAYOUT
     d, x, fallback = decimal(v)
     first = d // 10 ** 16
     d -= first * 10 ** 16
@@ -213,44 +186,18 @@ def cell_words(v, end, out):
         groups[:, i] = q
         d -= q * scale
     groups[:, 3] = d
-    # Most cells have a nonzero digit among the last four and E < 1: their
-    # text is word 0, the 16 digits with the trailing zeros of the last
-    # four cut, and word 3.
-    odd = (groups[:, 3] == 0) | (x > _EXP_BIAS)
+    # A cell with E < 1 and a nonzero digit among the last four is word
+    # 0, the 16 digits with the trailing zeros of the last four cut, and
+    # word 3; '%.17g' formats every other cell.
+    fallback |= (groups[:, 3] == 0) | (x > _EXP_BIAS)
     groups[:, 3] += 10 ** 4
-    out[:, 0] = t["head"][2 * x + np.signbit(v)] | first << 48
+    out[:, 0] = _HEADS[2 * x + np.signbit(v)] | first << 48
     digits = _ASCII4[groups].view(np.uint64)
     out[:, 1] = digits[:, 0]  # one column at a time: out's rows are apart
     out[:, 2] = digits[:, 1]
-    out[:, 3] = t["tail"][x] | end << 8 * (_END % 8)
-    if odd.any():
-        _mask_odd_cells(out, odd.nonzero()[0], x, groups)
+    out[:, 3] = _TAILS[x] | end << 8 * (_END % 8)
     if fallback.any():
         bad = fallback.nonzero()[0]
         text = b"".join(("%.17g%c" % (c, end)).encode().ljust(32, b"\0")
                         for c in v[bad].tolist())
         out[bad] = np.frombuffer(text, np.uint64).reshape(-1, 4)
-
-
-def _mask_odd_cells(out, cells, x, groups):
-    """Lay out the given cells in full: the '.' and the digits shown by
-    their class and their last nonzero digit, the '.' moved for E in
-    1..16."""
-    t = _LAYOUT
-    g = groups[cells]
-    g[:, 3] -= 10 ** 4
-    # count back to the last nonzero digit
-    last = _LAST4[g[:, 0]] - 12
-    for i in (1, 2, 3):
-        last = np.where(g[:, i] == 0, last, _LAST4[g[:, i]] + 4 * i - 12)
-    row = t["class"][x[cells]] + last
-    m0, m1, m2 = (m[row] for m in t["masks"])
-    digits = _ASCII4[g].view(np.uint64)
-    out[cells, 0] &= m0
-    out[cells, 1] = digits[:, 0] & m1
-    out[cells, 2] = digits[:, 1] & m2
-    moved = cells[row >= 34]
-    if moved.size:
-        e = x[moved] - _EXP_BIAS - 1
-        chars = out[moved].view(np.uint8)
-        out[moved] = np.take_along_axis(chars, t["order"][e], 1).view(np.uint64)

@@ -26,6 +26,8 @@ from ris_vlc.tuning import (DesignTarget, LiquidCrystalActuator,
                             solve_voltage)
 
 TAN_HORIZON = math.tan(math.radians(89.9))
+# numpy >= 2.0 spells it trapezoid, numpy 1.x trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _report(num: int, name: str, problems: list[str]) -> None:
@@ -127,8 +129,8 @@ def test_criterion_4_diffraction_oracle():
     u_max = TAN_HORIZON * g.depth_mm
     u_num = np.linspace(0.0, half, 1_000_001)
     u_den = np.linspace(0.0, u_max, 1_000_001)
-    brute = (np.trapezoid(np.sinc(u_num / scale) ** 2, u_num)
-             / np.trapezoid(np.sinc(u_den / scale) ** 2, u_den))
+    brute = (trapezoid(np.sinc(u_num / scale) ** 2, u_num)
+             / trapezoid(np.sinc(u_den / scale) ** 2, u_den))
     adaptive = pattern_power_fraction(g, w, half)
     if abs(adaptive - 0.9028) > 5e-4:
         problems.append(f"adaptive central-lobe fraction {adaptive:.6f}")

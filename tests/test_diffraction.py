@@ -20,6 +20,8 @@ from ris_vlc.runner import run
 from ris_vlc.scenario import ProfileSpec, Scenario
 
 TAN_HORIZON = math.tan(math.radians(89.9))
+# numpy >= 2.0 spells it trapezoid, numpy 1.x trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def geom(slit=4.0, depth=1.0, pd=1.0, n=1.5):
@@ -38,8 +40,8 @@ def brute_fraction(g, w, halfwidth_mm, samples=1_000_001):
     u_max = TAN_HORIZON * g.depth_mm
     u_num = np.linspace(0.0, min(halfwidth_mm, u_max), samples)
     u_den = np.linspace(0.0, u_max, samples)
-    num = np.trapezoid(np.sinc(u_num / scale) ** 2, u_num)
-    den = np.trapezoid(np.sinc(u_den / scale) ** 2, u_den)
+    num = trapezoid(np.sinc(u_num / scale) ** 2, u_num)
+    den = trapezoid(np.sinc(u_den / scale) ** 2, u_den)
     return num / den
 
 
@@ -219,6 +221,18 @@ class TestHalfCapture:
         got = np.array([_half_capture(float(t)) for t in grid])
         want = np.array([sici_half_capture(float(t)) for t in grid])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("upper", [0.5, 1.0, 3.5, 100.0, 6250.44])
+    def test_sinc2_against_closed_form(self, upper):
+        assert _half_capture(upper) == pytest.approx(sici_half_capture(upper),
+                                                     abs=1e-12)
+
+    @pytest.mark.parametrize("upper", [1.0, 3.5])
+    def test_against_brute_force_trapezoid(self, upper):
+        # independent oracle: 10^6 uniform trapezoid samples
+        t = np.linspace(0.0, upper, 1_000_001)
+        brute = trapezoid(np.sinc(t) ** 2, t)
+        assert abs(_half_capture(upper) - brute) < 1e-6
 
     def test_nondecreasing(self):
         for grid in RESOLVED_GRIDS:

@@ -12,6 +12,8 @@ from ris_vlc.runner import run
 from ris_vlc.scenario import ScenarioError, scenario_from_dict
 
 TAN_HORIZON = math.tan(math.radians(89.9))
+# numpy >= 2.0 spells it trapezoid, numpy 1.x trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def brute_transmittance(g, w, samples=400_001):
@@ -22,8 +24,8 @@ def brute_transmittance(g, w, samples=400_001):
     half = min(g.pd_length_mm / 2, u_max)
     u_num = np.linspace(0.0, half, samples)
     u_den = np.linspace(0.0, u_max, samples)
-    fraction = (np.trapezoid(np.sinc(u_num / scale) ** 2, u_num)
-                / np.trapezoid(np.sinc(u_den / scale) ** 2, u_den))
+    fraction = (trapezoid(np.sinc(u_num / scale) ** 2, u_num)
+                / trapezoid(np.sinc(u_den / scale) ** 2, u_den))
     return math.cos(w.incidence.radians) * fraction
 
 

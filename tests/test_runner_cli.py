@@ -633,9 +633,16 @@ class TestProfileRows:
         for k, row in enumerate([0, 2047, 2048, 2049, rows - 1]):
             positions[row] = specials[2 * k]
             intensities[row] = specials[2 * k + 1]
-        got, want = g17_rows(prefix, positions, intensities)
-        assert got == want
-        assert b"\0" not in got
+        # fixed notation with the '.' inside the digits (E in 1..16), and
+        # 17 digits ending in 0000 (k / 1024), some of each at the edges
+        wide = np.linspace(-20.0, 20.0, 4001)
+        exact = np.arange(1, 4002) / 1024
+        wide[2047:2050] = [12345.678, -9.5e15, 0.25]
+        exact[2047:2050] = [0.1, 15.0, -9.5e15]
+        for columns in [(positions, intensities), (wide, exact)]:
+            got, want = g17_rows(prefix, *columns)
+            assert got == want
+            assert b"\0" not in got
 
 
 def written_profile(positions, members):
