@@ -15,7 +15,8 @@ from .radiometry import (TransmittanceResult, TuningGain, transmittance,
 from .tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                      MetaLensActuator, NonMonotonic, OutOfMaterialRange,
                      actuator_preset, drive_map, lc_apply, metalens_apply,
-                     solve_depth_for_spot, solve_index_for_angle, solve_voltage)
+                     solve, solve_depth_for_spot, solve_index_for_angle,
+                     solve_voltage)
 from .bench import (FrontEndSummary, ReceiverFrontEnd, RotationSweepResult,
                     compare_table, default_front_end, detect, format_table,
                     rotation_sweep, table_to_csv)

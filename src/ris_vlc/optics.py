@@ -14,6 +14,7 @@ radians; degrees appear only at I/O boundaries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -69,7 +70,10 @@ NON_NEGATIVE = Bound(lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
 BOUNDS = {
     "slit_um": POSITIVE,
     "depth_mm": POSITIVE,
-    "pd_length_mm": POSITIVE,
+    # A normal float: a detector of sub-normal length has too few
+    # distinct positions to sample.
+    "pd_length_mm": Bound(lambda v: sys.float_info.min <= v < math.inf,
+                          f"be finite and >= {sys.float_info.min!r}"),
     "n_air": interval(1.0, 1.001),
     "n_ris": interval(*INDEX_RANGE, lo_open=True),
     "wavelength_nm": interval(*WAVELENGTH_BAND_NM),
@@ -102,14 +106,6 @@ class Wavelength:
 
     def __post_init__(self) -> None:
         BOUNDS["wavelength_nm"].check("wavelength_nm", self.nanometres)
-
-    @property
-    def micrometres(self) -> float:
-        return self.nanometres * 1e-3
-
-    @property
-    def millimetres(self) -> float:
-        return self.nanometres * 1e-6
 
 
 @dataclass(frozen=True, order=True)

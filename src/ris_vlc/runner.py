@@ -29,9 +29,7 @@ from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
                      Wavelength)
 from .radiometry import TransmittanceResult, transmittance
 from .scenario import _PARAM_FIELD, Scenario, SweepSpec, load_scenario
-from .tuning import (Actuator, _evaluate_metric, drive_map,
-                     solve_depth_for_spot, solve_index_for_angle,
-                     solve_voltage)
+from .tuning import Actuator, drive_map, solve
 
 __all__ = ["RunReport", "run", "run_bundled", "bundled_scenario_names",
            "bundled_scenario_path"]
@@ -222,21 +220,7 @@ def _run_eval(sc: Scenario, out_dir: Path, stages: dict
 
 def _run_design(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
     target = sc.design
-    geom, wave = sc.geometry, sc.wave
-    if target.free == "n_ris":
-        solved = solve_index_for_angle(wave, geom.slit_um,
-                                       Angle.from_degrees(target.value),
-                                       n_air=geom.n_air)
-        state = replace(geom, n_ris=solved)
-    elif target.free == "depth":
-        solved = solve_depth_for_spot(geom.slit_um, geom.n_ris, wave,
-                                      target.value, n_air=geom.n_air)
-        state = replace(geom, depth_mm=solved)
-    else:
-        solved = solve_voltage(target, sc.actuator)
-        apply, _, _ = drive_map(sc.actuator, geom)
-        state = apply(solved)
-    achieved = _evaluate_metric(target.kind, state, wave)
+    solved, achieved = solve(target, sc.actuator)
     unit = "deg" if target.kind == "refraction_angle" else "mm"
     path = out_dir / f"{sc.name}_design.csv"
     _write_csv(path,

@@ -1,9 +1,10 @@
 """Scenario files: validated JSON descriptions of a single run.
 
-Every numeric key carries an explicit unit suffix (_nm, _um, _mm, _deg,
-_v, _w) unless it names a dimensionless quantity from a known allowlist;
-anything else is rejected.  Validation is batched: all violations are
-reported together with their field paths, not just the first.
+Each block accepts a fixed set of keys and rejects any other; every
+numeric key it accepts carries a unit suffix (_nm, _um, _mm, _deg, _v,
+_w) or names a dimensionless quantity.  Validation is batched: all
+violations are reported together with their field paths, not just the
+first.
 
 A scenario activates exactly one of
   * single evaluation (optionally with a sampled detector profile),
@@ -35,12 +36,6 @@ __all__ = [
     "load_scenario",
     "scenario_from_dict",
 ]
-
-_UNIT_SUFFIXES = ("_nm", "_um", "_mm", "_deg", "_v", "_w")
-_DIMENSIONLESS_KEYS = {
-    "n_ris", "n_air", "order", "steps", "samples", "stretch_max",
-    "delta_n", "n_base", "from_index", "to_index",
-}
 
 SWEEP_PARAMETERS = ("wavelength", "n_ris", "depth", "incidence", "voltage")
 # Bound-key suffix per sweep parameter ("index" marks a dimensionless bound).
@@ -141,21 +136,6 @@ def _real(value: int | float) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-def _check_unit_keys(node: Any, path: str, errors: list[str]) -> None:
-    if not isinstance(node, dict):
-        return
-    for key, value in node.items():
-        here = f"{path}.{key}" if path else key
-        if isinstance(value, dict):
-            _check_unit_keys(value, here, errors)
-            continue
-        numeric = _is_number(value) or (
-            isinstance(value, list) and value and all(_is_number(v) for v in value))
-        if numeric and not key.endswith(_UNIT_SUFFIXES) \
-                and key not in _DIMENSIONLESS_KEYS:
-            errors.append(f"{here}: numeric key lacks a unit suffix")
 
 
 def _take(block: dict, path: str, key: str, errors: list[str],
@@ -369,17 +349,12 @@ def _parse_design(block: dict, geometry: SteeringGeometry | None,
     if free == "voltage" and not has_actuator:
         errors.append(f"{path}: voltage solve requires an actuator block")
         return None
-    if free == "n_ris" and kind != "refraction_angle":
-        errors.append(f"{path}: free variable n_ris solves only "
-                      f"refraction_angle targets, got kind {kind!r}")
-        return None
-    if free == "depth" and kind != "spot_width":
-        errors.append(f"{path}: free variable depth solves only "
-                      f"spot_width targets, got kind {kind!r}")
-        return None
-    if value is MISSING or geometry is None or wave is None:
-        return None
     try:
+        # The free/kind rule first, so that it is reported beside a
+        # missing value or an invalid geometry or wave block.
+        DesignTarget.check_free(kind, free)
+        if value is MISSING or geometry is None or wave is None:
+            return None
         return DesignTarget(kind=kind, value=value, wave=wave,
                             geometry=geometry, free=free)
     except ValueError as exc:
@@ -418,7 +393,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(["scenario root must be an object"])
     _reject_unknown(data, "", ("name", "geometry", "wave", "actuator",
                                "profile", "sweep", "design", "bench"), errors)
-    _check_unit_keys(data, "", errors)
     if "name" in data:
         if isinstance(data["name"], str) and data["name"]:
             name = data["name"]

@@ -18,7 +18,9 @@ Inverse solvers use the closed form where one exists: the index, the
 depth and the liquid-crystal drive (every target metric inverts to a
 slab index, and the index ramp is linear in the drive).  The meta-lens
 drive is bisected over its drive interval, exploiting the monotonicity
-of the map: its landing equation is a sextic in the stretch.
+of the map: its landing equation is a sextic in the stretch.  ``solve``
+is the one design solve: it picks the solver for a target's free
+variable and reports the metric the solved slab achieves.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Union
 from .diffraction import first_null_angle, steering_offset_mm
 from .optics import (BOUNDS as OPTICS_BOUNDS, INDEX_RANGE, NON_NEGATIVE,
                      POSITIVE, Angle, Bound, IncidentWave, SteeringGeometry,
-                     check_fields, refraction_angle)
+                     check_fields, interval, refraction_angle)
 
 __all__ = [
     "OutOfMaterialRange",
@@ -47,12 +49,16 @@ __all__ = [
     "solve_index_for_angle",
     "solve_depth_for_spot",
     "solve_voltage",
+    "solve",
     "actuator_preset",
     "PRESET_NAMES",
 ]
 
 TARGET_KINDS = ("refraction_angle", "spot_width", "pd_landing")
 FREE_VARIABLES = ("n_ris", "depth", "voltage")
+# The one target kind a free variable solves, where it cannot solve every
+# kind; a drive voltage solves them all.
+_SOLVES_ONLY = {"n_ris": "refraction_angle", "depth": "spot_width"}
 
 # Drive voltage and actuator fields, by the scenario key that carries them.
 # Rules that tie fields together stay in the actuator classes.
@@ -63,13 +69,15 @@ BOUNDS = {
     "v_on_v": POSITIVE,
     "v_sat_v": POSITIVE,
     "n_base": OPTICS_BOUNDS["n_ris"],
+    "delta_n": interval(0.2, 0.4),
 }
 # A steered angle the index solve can aim for.
 _TARGET_ANGLE = Bound(lambda deg: 0.0 < deg < 90.0, "lie in (0, 90) deg")
 
 
 class OutOfMaterialRange(ValueError):
-    """Solved refractive index falls outside the physical material band."""
+    """Solved slab field falls outside its bound: an index outside the
+    physical material band, or a depth that is not finite and > 0."""
 
 
 class Infeasible(Exception):
@@ -112,12 +120,10 @@ class LiquidCrystalActuator:
     delta_n: float = 0.3
 
     def __post_init__(self) -> None:
-        check_fields(self, BOUNDS, "v_on_v", "v_sat_v", "n_base")
+        check_fields(self, BOUNDS, "v_on_v", "v_sat_v", "n_base", "delta_n")
         if not self.v_on_v < self.v_sat_v:
             raise ValueError(
                 f"need v_sat > v_on > 0, got v_on={self.v_on_v}, v_sat={self.v_sat_v}")
-        if not 0.2 <= self.delta_n <= 0.4:
-            raise ValueError(f"delta_n must lie in [0.2, 0.4], got {self.delta_n}")
         if not self.n_base + self.delta_n <= INDEX_RANGE[1]:
             raise ValueError(
                 f"n_base + delta_n = {self.n_base + self.delta_n:g} exceeds "
@@ -149,10 +155,22 @@ class DesignTarget:
             raise ValueError(f"kind must be one of {TARGET_KINDS}, got {self.kind!r}")
         if self.free not in FREE_VARIABLES:
             raise ValueError(f"free must be one of {FREE_VARIABLES}, got {self.free!r}")
+        self.check_free(self.kind, self.free)
+        if self.geometry is None and self.free != "voltage":
+            raise ValueError(f"free variable {self.free} needs a geometry")
         if not (math.isfinite(self.value) and self.value > 0):
             raise ValueError(f"target value must be positive, got {self.value}")
         if self.kind == "refraction_angle":
             _TARGET_ANGLE.check("refraction-angle target", self.value)
+
+    @staticmethod
+    def check_free(kind: str, free: str) -> None:
+        """Raise ValueError unless the free variable ``free`` solves
+        targets of ``kind``."""
+        only = _SOLVES_ONLY.get(free, kind)
+        if kind != only:
+            raise ValueError(f"free variable {free} solves only {only} "
+                             f"targets, got kind {kind!r}")
 
 
 def metalens_apply(act: MetaLensActuator, v: float,
@@ -253,12 +271,17 @@ def solve_depth_for_spot(
     n_air: float = 1.0,
 ) -> float:
     """Slab depth whose central lobe has the target full width (closed
-    form); propagates NullBeyondHorizon when no first null exists."""
+    form); propagates NullBeyondHorizon when no first null exists, and
+    raises OutOfMaterialRange when the depth overflows or underflows."""
     POSITIVE.check("spot_target_mm", spot_target_mm)
     probe = SteeringGeometry(slit_um=slit_um, depth_mm=1.0, pd_length_mm=1.0,
                              n_ris=n_ris, n_air=n_air)
     null = first_null_angle(probe, wave)
-    return spot_target_mm / (2.0 * math.tan(null.radians))
+    depth = spot_target_mm / (2.0 * math.tan(null.radians))
+    if not OPTICS_BOUNDS["depth_mm"].ok(depth):
+        raise OutOfMaterialRange(
+            f"required depth {depth:.6g} mm is not finite and > 0")
+    return depth
 
 
 def _evaluate_metric(kind: str, geom: SteeringGeometry, wave: IncidentWave) -> float:
@@ -342,14 +365,8 @@ def _bisect_monotone(
         f"bisection steps (bracket values {f_lo:.9g}, {f_hi:.9g})")
 
 
-def solve_voltage(
-    target: DesignTarget,
-    actuator: Actuator,
-    *,
-    rel_tol: float = 1e-6,
-    max_steps: int = 60,
-) -> float:
-    """Drive voltage meeting the target metric within ``rel_tol`` relative.
+def solve_voltage(target: DesignTarget, actuator: Actuator) -> float:
+    """Drive voltage meeting the target metric within 1e-6 relative.
 
     The forward pipeline (apply actuator, evaluate the target kind) is
     evaluated at both ends of the drive interval, [0, v_max] for the
@@ -363,8 +380,29 @@ def solve_voltage(
     if isinstance(actuator, LiquidCrystalActuator):
         inverse = lambda value: _lc_drive(actuator, target.kind, value,
                                           target.geometry, target.wave)
-    return _bisect_monotone(forward, lo, hi, target.value, rel_tol=rel_tol,
-                            max_steps=max_steps, inverse=inverse)
+    return _bisect_monotone(forward, lo, hi, target.value, inverse=inverse)
+
+
+def solve(target: DesignTarget,
+          actuator: Actuator | None = None) -> tuple[float, float]:
+    """(solved, achieved): the value of the target's free variable that
+    meets it, and the target metric of the slab it gives.  A voltage
+    solve drives ``actuator`` over the target's geometry."""
+    geom, wave = target.geometry, target.wave
+    if target.free == "n_ris":
+        solved = solve_index_for_angle(wave, geom.slit_um,
+                                       Angle.from_degrees(target.value),
+                                       n_air=geom.n_air)
+        state = replace(geom, n_ris=solved)
+    elif target.free == "depth":
+        solved = solve_depth_for_spot(geom.slit_um, geom.n_ris, wave,
+                                      target.value, n_air=geom.n_air)
+        state = replace(geom, depth_mm=solved)
+    else:
+        solved = solve_voltage(target, actuator)
+        apply, _, _ = drive_map(actuator, geom)
+        state = apply(solved)
+    return solved, _evaluate_metric(target.kind, state, wave)
 
 
 def _metalens_she2018(base_geometry: SteeringGeometry | None) -> MetaLensActuator:

@@ -805,25 +805,49 @@ _VALUES = (st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e300,
            | st.floats(0.1, 10.0) | st.floats(100.0, 2000.0))
 
 
+def _spot_width(value_mm):
+    return ("design", {"design": {"kind": "spot_width", "value_mm": value_mm,
+                                  "free": "depth"}})
+
+
 @settings(max_examples=150, deadline=None)
 @given(mode=st.sampled_from(_MODES),
        mutations=st.lists(st.tuples(st.sampled_from(_MUTABLE), _VALUES),
-                          min_size=1, max_size=2))
+                          min_size=1, max_size=2),
+       expect=st.none())
 # Actuator fields that once passed validation and then raised inside a
 # voltage solve, sweep or profile.
-@example(mode=_MODES[7], mutations=[(("actuator", "v_max_v"), math.inf)])
-@example(mode=_MODES[7], mutations=[(("actuator", "stretch_max"), math.inf)])
-@example(mode=_MODES[8], mutations=[(("actuator", "v_sat_v"), math.inf)])
-@example(mode=_MODES[8], mutations=[(("actuator", "n_base"), 0.5)])
-@example(mode=_MODES[4], mutations=[(("actuator", "stretch_max"), 1e300)])
-@example(mode=_MODES[1], mutations=[(("actuator", "stretch_max"), 1e300)])
+@example(mode=_MODES[7], mutations=[(("actuator", "v_max_v"), math.inf)],
+         expect=2)
+@example(mode=_MODES[7], mutations=[(("actuator", "stretch_max"), math.inf)],
+         expect=2)
+@example(mode=_MODES[8], mutations=[(("actuator", "v_sat_v"), math.inf)],
+         expect=2)
+@example(mode=_MODES[8], mutations=[(("actuator", "n_base"), 0.5)],
+         expect=2)
+@example(mode=_MODES[4], mutations=[(("actuator", "stretch_max"), 1e300)],
+         expect=2)
+@example(mode=_MODES[1], mutations=[(("actuator", "stretch_max"), 1e300)],
+         expect=2)
 # An integer literal of 400 digits, beyond float range, once crashed the
 # field reader.
-@example(mode=_MODES[0], mutations=[(("geometry", "slit_um"), 10 ** 399)])
-def test_scenario_cli_contract(mode, mutations):
+@example(mode=_MODES[0], mutations=[(("geometry", "slit_um"), 10 ** 399)],
+         expect=2)
+# A sub-normal detector, too short for 1000 distinct sample positions,
+# and spot widths whose solved depth overflows to inf or underflows to 0
+# once raised a bare ValueError.
+@example(mode=("eval", {"profile": {"samples": 1000}}),
+         mutations=[(("geometry", "pd_length_mm"), 1e-322)], expect=2)
+@example(mode=_spot_width(1e308), mutations=[(("wave", "incidence_deg"), 10.0)],
+         expect=3)
+@example(mode=_spot_width(5e-324),
+         mutations=[(("geometry", "slit_um"), 0.37), (("wave", "order"), 0)],
+         expect=3)
+def test_scenario_cli_contract(mode, mutations, expect):
     """Any mode with mutated geometry, wave or actuator fields ends in a
-    mapped exit code and a JSON record on failure; what it writes is
-    whole, and a failed run writes nothing but an evaluation's summary."""
+    mapped exit code (``expect``, when given) and a JSON record on
+    failure; what it writes is whole, and a failed run writes nothing but
+    an evaluation's summary."""
     command, blocks = mode
     data = json.loads(json.dumps(minimal() | blocks))
     for (block, key), value in mutations:
@@ -837,6 +861,7 @@ def test_scenario_cli_contract(mode, mutations):
             code = main([command, "--scenario", str(path), "--out", str(out),
                          "--quiet"])
         assert code in (0, 2, 3, 4)
+        assert expect is None or code == expect
         written = {p.name: p.read_text() for p in out.glob("*")}
     if code:
         assert "error" in json.loads(err.getvalue().splitlines()[-1])

@@ -1,10 +1,14 @@
 import json
 import math
+import sys
 
 import pytest
 
-from ris_vlc.scenario import ScenarioError, load_scenario, scenario_from_dict
-from ris_vlc.tuning import LiquidCrystalActuator, MetaLensActuator
+from ris_vlc import scenario
+from ris_vlc.scenario import (SWEEP_PARAMETERS, ScenarioError, load_scenario,
+                              scenario_from_dict)
+from ris_vlc.tuning import (TARGET_KINDS, LiquidCrystalActuator,
+                            MetaLensActuator)
 
 
 HUGE = 10 ** 399  # an integer literal of 400 digits
@@ -56,8 +60,39 @@ class TestLoading:
     def test_unsuffixed_numeric_key_rejected(self):
         data = minimal()
         data["geometry"]["slit"] = 4.0
-        errs = errors_of(data)
-        assert any("unit suffix" in e for e in errs)
+        assert errors_of(data) == ["geometry.slit: unknown key"]
+
+    def test_accepted_numeric_keys_carry_a_unit_suffix(self, monkeypatch):
+        """Every numeric key that some block accepts ends in a unit suffix
+        or names a dimensionless quantity, so that no scenario needs a
+        separate unit check."""
+        accepted = set(scenario.CURVE_KEYS) | set(scenario._BASELINE_KEYS)
+        reject_unknown = scenario._reject_unknown
+
+        def record(block, path, known, errors):
+            accepted.update(known)
+            reject_unknown(block, path, known, errors)
+
+        monkeypatch.setattr(scenario, "_reject_unknown", record)
+        blocks = ([{"actuator": {"type": t}} for t in ("lc", "metalens")]
+                  + [{"actuator": {"preset": "lc-sun2019"}},
+                     {"profile": {}}, {"bench": {}}]
+                  + [{"sweep": {"parameter": p}} for p in SWEEP_PARAMETERS]
+                  + [{"design": {"kind": k}} for k in TARGET_KINDS])
+        for block in blocks:  # each invalid, by its empty geometry block
+            with pytest.raises(ScenarioError):
+                scenario_from_dict(minimal() | block | {"geometry": {}})
+        not_numeric = {"name", "geometry", "wave", "actuator", "profile",
+                       "sweep", "design", "bench", "type", "preset",
+                       "parameter", "spacing", "curves", "baseline", "kind",
+                       "free", "front_ends"}
+        dimensionless = {"n_ris", "n_air", "order", "steps", "samples",
+                         "stretch_max", "delta_n", "n_base", "from_index",
+                         "to_index"}
+        suffixes = ("_nm", "_um", "_mm", "_deg", "_v", "_w")
+        assert {"depth_mm", "delta_n", "value_deg", "to_v"} <= accepted
+        assert sorted(key for key in accepted - not_numeric - dimensionless
+                      if not key.endswith(suffixes)) == []
 
     def test_unknown_key_rejected(self):
         data = minimal()
@@ -129,6 +164,8 @@ class TestActuatorBlock:
          ["actuator.v_on_v: must be finite and > 0, got 0"]),
         ({"type": "lc", "n_base": 2.4},
          ["actuator: n_base + delta_n = 2.7 exceeds 2.5"]),
+        ({"type": "lc", "n_base": 1.5, "delta_n": 0.5},
+         ["actuator.delta_n: must lie in [0.2, 0.4], got 0.5"]),
         ({"type": "metalens", "v_max_v": 1.0, "stretch_max": 1e300},
          ["actuator: stretch_max 1e+300 leaves no valid slab at full stretch"]),
     ])
@@ -208,6 +245,23 @@ class TestBlockValidation:
                           "free": "n_ris"}
         errs = errors_of(data)
         assert any("n_ris solves only" in e for e in errs)
+
+    def test_design_free_kind_mismatch_batched_with_missing_value(self):
+        data = minimal()
+        data["design"] = {"kind": "spot_width", "free": "n_ris"}
+        assert errors_of(data) == [
+            "design.value_mm: required key missing",
+            "design: free variable n_ris solves only refraction_angle "
+            "targets, got kind 'spot_width'"]
+
+    def test_detector_length_is_a_normal_float(self):
+        data = minimal()
+        data["geometry"]["pd_length_mm"] = sys.float_info.min
+        scenario_from_dict(data)
+        data["geometry"]["pd_length_mm"] = 1e-322
+        assert errors_of(data) == [
+            "geometry.pd_length_mm: must be finite and >= "
+            "2.2250738585072014e-308, got 9.88131e-323"]
 
     def test_bench_kinds_validated(self):
         data = minimal()

@@ -11,8 +11,9 @@ from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                             MetaLensActuator, NonMonotonic, OutOfMaterialRange,
                             _bisect_monotone, actuator_preset, drive_map,
-                            lc_apply, metalens_apply, solve_depth_for_spot,
-                            solve_index_for_angle, solve_voltage)
+                            lc_apply, metalens_apply, solve,
+                            solve_depth_for_spot, solve_index_for_angle,
+                            solve_voltage)
 
 
 def geom(slit=100.0, depth=0.75, pd=1.0, n=1.508):
@@ -120,7 +121,8 @@ class TestLiquidCrystalMap:
 
     @pytest.mark.parametrize("field, value", [
         ("v_on_v", 0.0), ("v_on_v", math.nan), ("v_sat_v", math.inf),
-        ("n_base", 1.0), ("n_base", -math.inf), ("n_base", math.nan)])
+        ("n_base", 1.0), ("n_base", -math.inf), ("n_base", math.nan),
+        ("delta_n", 0.5), ("delta_n", math.nan)])
     def test_fields_in_bounds(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             LiquidCrystalActuator(**{field: value})
@@ -220,6 +222,16 @@ class TestSolveDepth:
         w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
         with pytest.raises(NullBeyondHorizon):
             solve_depth_for_spot(0.3, 1.2, w, 0.1)
+
+    @pytest.mark.parametrize("slit, inc, order, target, depth", [
+        (4.0, 10.0, 1, 1e308, "inf"), (0.37, 0.0, 0, 5e-324, "0")])
+    def test_depth_beyond_its_bound_is_out_of_range(self, slit, inc, order,
+                                                    target, depth):
+        w = IncidentWave(Wavelength(550), Angle.from_degrees(inc),
+                         order=order)
+        with pytest.raises(OutOfMaterialRange,
+                           match=f"required depth {depth} mm"):
+            solve_depth_for_spot(slit, 1.5, w, target)
 
 
 class TestSolveVoltage:
@@ -462,3 +474,27 @@ class TestDesignTarget:
             DesignTarget("refraction_angle", 95.0, wave(), geom(), "n_ris")
         with pytest.raises(ValueError):
             DesignTarget("spot_width", 1.0, wave(), geom(), "slit")
+        with pytest.raises(ValueError, match="needs a geometry"):
+            DesignTarget("refraction_angle", 30.0, wave(), None, "n_ris")
+
+    @pytest.mark.parametrize("kind, free, only", [
+        ("pd_landing", "depth", "spot_width"),
+        ("spot_width", "n_ris", "refraction_angle")])
+    def test_free_variable_solves_only_its_kind(self, kind, free, only):
+        with pytest.raises(ValueError, match=f"^free variable {free} solves "
+                                             f"only {only} targets"):
+            DesignTarget(kind, 0.3, wave(), geom(), free)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("kind, value, free, actuator", [
+        ("refraction_angle", 60.0, "n_ris", None),
+        ("spot_width", 0.184, "depth", None),
+        ("pd_landing", 0.5, "voltage", LiquidCrystalActuator(
+            n_base=1.508, delta_n=0.392)),
+        ("pd_landing", 0.5, "voltage", metalens(stretch_max=1.5)),
+    ])
+    def test_achieves_the_target(self, kind, value, free, actuator):
+        target = DesignTarget(kind, value, wave(inc=80.0), geom(), free)
+        _, achieved = solve(target, actuator)
+        assert achieved == pytest.approx(value, rel=1e-6)
