@@ -13,9 +13,9 @@ from .diffraction import (IntensityProfile, NullBeyondHorizon, SpotReport,
 from .radiometry import (TransmittanceResult, TuningGain, transmittance,
                          tuning_gain)
 from .tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
-                     MetaLensActuator, NonMonotonic, OutOfMaterialRange,
-                     actuator_preset, drive_map, lc_apply, metalens_apply,
-                     solve, solve_depth_for_spot, solve_index_for_angle,
+                     MetaLensActuator, OutOfMaterialRange, actuator_preset,
+                     drive_map, lc_apply, metalens_apply, solve,
+                     solve_depth_for_spot, solve_index_for_angle,
                      solve_voltage)
 from .bench import (FrontEndSummary, ReceiverFrontEnd, RotationSweepResult,
                     compare_table, default_front_end, detect, format_table,

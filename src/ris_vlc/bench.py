@@ -5,9 +5,12 @@ Legacy lenses are modelled by their published acceptance envelopes, not
 by ray tracing: detection holds up to the envelope angle and the detected
 intensity follows cos(rotation).  The catadioptric bi-parabolic kind
 additionally loses intensity past its roll-off angle (linear placeholder
-down to 0.5 at the envelope edge).  Tunable kinds re-solve their drive
-voltage at every rotation so the steered pattern lands on the detector,
-then score the full radiometric transmittance.
+down to 0.5 at the envelope edge).  Tunable kinds score the full
+radiometric transmittance of the slab that lands the steered pattern on
+the detector: the rest slab where it lands there, and elsewhere the slab
+at the drive voltage solved to put the pattern centre on the detector
+edge.  Each rotation is evaluated in plain floats (``_Detector``); value
+objects are built only for a drive solve.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .optics import (BOUNDS as OPTICS_BOUNDS, POSITIVE, Angle, EvanescentOrder,
-                     IncidentWave, SteeringGeometry, Wavelength, interval)
-from .radiometry import transmittance
-from .diffraction import pattern_power_fraction, steering_offset_mm
+                     IncidentWave, SteeringGeometry, Wavelength, grating_term,
+                     interval, steering_sine)
+from .radiometry import _incidence_factor, transmittance
+from .diffraction import pattern_power_fraction
 from .tuning import (Actuator, DesignTarget, Infeasible, MetaLensActuator,
-                     NonMonotonic, actuator_preset, drive_map, solve_voltage)
+                     actuator_preset, drive_map, solve_voltage)
 
 __all__ = [
     "KINDS",
@@ -67,7 +71,7 @@ BOUNDS = {"step_deg": interval(1e-3, 90)}
 class ReceiverFrontEnd:
     """One receiver front-end and its acceptance envelope.
 
-    Tunable kinds carry the actuator to re-solve per rotation;
+    Tunable kinds carry the actuator whose drive a rotation may solve;
     ``geometry`` is the slab at rest (required for the liquid-crystal
     kind, optional for the meta-lens whose actuator has its own base).
     """
@@ -177,58 +181,70 @@ def _cmbbp_rolloff(fe: ReceiverFrontEnd, deg: float) -> float:
 
 
 class _Detector:
-    """``detect`` for one front end, built once per sweep.
+    """``detect`` for one front end at a rotation in radians, built once
+    per sweep with what does not depend on the rotation: the drive map,
+    the rest and full-drive slabs with their order terms and, on first
+    use, the rest slab's capture fraction.
 
-    A tunable front end's drive map, its rest and full-drive slabs, its
-    wavelength and, on first use, the rest slab's capture fraction do not
-    depend on the rotation, so they are made once here and shared by
-    every rotation.
+    A rotation is evaluated in plain floats, by the operations of
+    ``refraction_angle``, ``steering_offset_mm`` and ``transmittance``
+    in their order, so their values agree bit for bit.  Only where the
+    rest slab misses the detector is a drive solved.
     """
 
     def __init__(self, fe: ReceiverFrontEnd) -> None:
         self.fe = fe
+        self.max_deg = fe.max_incidence.degrees + _ANGLE_EPS_DEG
         if fe.kind in RIS_KINDS:
             self.apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
             self.rest, self.full = self.apply(v_rest), self.apply(v_full)
             self.wavelength = Wavelength(fe.wavelength_nm)
+            self.gratings = [grating_term(1, fe.wavelength_nm, slab.slit_um)
+                             for slab in (self.rest, self.full)]
+            self.half = self.rest.pd_length_mm / 2
             self.rest_capture: float | None = None
 
-    def __call__(self, rotation: Angle) -> tuple[bool, float]:
-        deg = rotation.degrees
+    def __call__(self, rad: float) -> tuple[bool, float]:
+        deg = math.degrees(rad)
         OPTICS_BOUNDS["incidence_deg"].check("rotation", deg)
-        if deg > self.fe.max_incidence.degrees + _ANGLE_EPS_DEG:
+        if deg > self.max_deg:
             return (False, 0.0)
         if self.fe.kind in RIS_KINDS:
-            return self._steer(rotation)
-        intensity = math.cos(rotation.radians)
+            return self._steer(rad)
+        intensity = math.cos(rad)
         if self.fe.kind == "cmbbp":
             intensity *= _cmbbp_rolloff(self.fe, deg)
         return (True, intensity)
 
-    def _steer(self, rotation: Angle) -> tuple[bool, float]:
-        wave = IncidentWave(self.wavelength, rotation, order=1)
-        half = self.rest.pd_length_mm / 2
-        try:
-            landing_rest = steering_offset_mm(self.rest, wave)
-            if steering_offset_mm(self.full, wave) > half + 1e-12:
-                return (False, 0.0)  # not steerable onto the detector
-            if landing_rest > half:
-                target = DesignTarget("pd_landing", half, wave,
-                                      self.fe.geometry, "voltage")
+    def _steer(self, rad: float) -> tuple[bool, float]:
+        sin_in, rest, full, half = math.sin(rad), self.rest, self.full, self.half
+        sine_rest = steering_sine(rest.n_air, sin_in, self.gratings[0],
+                                  rest.n_ris)
+        sine_full = steering_sine(full.n_air, sin_in, self.gratings[1],
+                                  full.n_ris)
+        if sine_rest >= 1.0 or sine_full >= 1.0:
+            return (False, 0.0)  # the first order is evanescent
+        if full.depth_mm * math.tan(math.asin(sine_full)) > half + 1e-12:
+            return (False, 0.0)  # not steerable onto the detector
+        if rest.depth_mm * math.tan(math.asin(sine_rest)) > half:
+            wave = IncidentWave(self.wavelength, Angle(rad), order=1)
+            target = DesignTarget("pd_landing", half, wave, self.fe.geometry,
+                                  "voltage")
+            try:
                 state = self.apply(solve_voltage(target, self.fe.actuator))
                 return (True, transmittance(state, wave).value)
-            if self.rest_capture is None:
-                self.rest_capture = pattern_power_fraction(self.rest, wave,
-                                                           half)
-            return (True, transmittance(self.rest, wave,
-                                        capture=self.rest_capture).value)
-        except (EvanescentOrder, Infeasible, NonMonotonic):
-            return (False, 0.0)
+            except (EvanescentOrder, Infeasible):
+                return (False, 0.0)
+        if self.rest_capture is None:
+            wave = IncidentWave(self.wavelength, Angle(rad), order=1)
+            self.rest_capture = pattern_power_fraction(rest, wave, half)
+        factor = _incidence_factor(rad)
+        return (True, 0.0 if factor == 0.0 else factor * self.rest_capture)
 
 
 def detect(front_end: ReceiverFrontEnd, rotation: Angle) -> tuple[bool, float]:
     """(detected, relative intensity) at one receiver rotation."""
-    return _Detector(front_end)(rotation)
+    return _Detector(front_end)(rotation.radians)
 
 
 def rotation_sweep(front_end: ReceiverFrontEnd, step_deg: float) -> RotationSweepResult:
@@ -241,7 +257,7 @@ def rotation_sweep(front_end: ReceiverFrontEnd, step_deg: float) -> RotationSwee
     else:
         angles[-1] = 90.0
     detector = _Detector(front_end)
-    detected, intensity = zip(*(detector(Angle.from_degrees(deg))
+    detected, intensity = zip(*(detector(math.radians(deg))
                                 for deg in angles))
     return RotationSweepResult(tuple(angles), detected, intensity)
 

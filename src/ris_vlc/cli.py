@@ -24,7 +24,7 @@ from .diffraction import NullBeyondHorizon
 from .optics import EvanescentOrder, TotalInternalReflection
 from .runner import run, run_bundled
 from .scenario import ScenarioError, load_scenario
-from .tuning import Infeasible, NonMonotonic, OutOfMaterialRange
+from .tuning import Infeasible, OutOfMaterialRange
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -32,8 +32,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _NUMERICAL_ERRORS = (EvanescentOrder, TotalInternalReflection,
-                     NullBeyondHorizon, Infeasible, NonMonotonic,
-                     OutOfMaterialRange)
+                     NullBeyondHorizon, Infeasible, OutOfMaterialRange)
 
 _SCENARIO_COMMANDS = ("eval", "sweep", "design", "bench")
 

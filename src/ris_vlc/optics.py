@@ -169,6 +169,19 @@ class IncidentWave:
         check_fields(self, BOUNDS, "power_w", "order")
 
 
+def grating_term(order: int, wavelength_nm: float, slit_um: float) -> float:
+    """The order term m * lambda / a of the steering equation."""
+    return order * wavelength_nm / (slit_um * 1e3)
+
+
+def steering_sine(n_air: float, sin_in: float, grating: float,
+                  n_ris: float) -> float:
+    """sin(theta_out) = (n_air sin(theta_in) + m lambda / a) / n_ris, from
+    the sine of the incidence and the ``grating_term``; the one place the
+    steering equation is written."""
+    return (n_air * sin_in + grating) / n_ris
+
+
 def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
     """Steered propagation angle of ``wave.order`` inside the slab.
 
@@ -176,8 +189,9 @@ def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
         EvanescentOrder: the order's tangential component is too large to
             propagate (sine argument >= 1).
     """
-    grating_term = wave.order * wave.wavelength.nanometres / (geom.slit_um * 1e3)
-    s = (geom.n_air * math.sin(wave.incidence.radians) + grating_term) / geom.n_ris
+    grating = grating_term(wave.order, wave.wavelength.nanometres, geom.slit_um)
+    s = steering_sine(geom.n_air, math.sin(wave.incidence.radians), grating,
+                      geom.n_ris)
     if s >= 1.0:
         raise EvanescentOrder(
             f"order {wave.order} is evanescent: sine argument {s:.6g} >= 1 "

@@ -61,12 +61,12 @@ class TuningGain:
             raise ValueError(f"gain must lie in [-1, 1], got {self.gain}")
 
 
-def _incidence_factor(wave: IncidentWave) -> float:
+def _incidence_factor(incidence_rad: float) -> float:
     # Exactly zero at grazing incidence so the 90 deg limit is exact
     # rather than cos(pi/2) ~ 6e-17.
-    if wave.incidence.radians >= math.pi / 2:
+    if incidence_rad >= math.pi / 2:
         return 0.0
-    return math.cos(wave.incidence.radians)
+    return math.cos(incidence_rad)
 
 
 def transmittance(
@@ -79,7 +79,7 @@ def transmittance(
     caller has already computed it.
     """
     refraction_angle(geom, wave)  # configured order must propagate
-    factor = _incidence_factor(wave)
+    factor = _incidence_factor(wave.incidence.radians)
     if factor == 0.0:
         value = 0.0
     else:

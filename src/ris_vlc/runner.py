@@ -231,13 +231,21 @@ def _run_design(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
     return path, f"{path.name}: {target.free} = {solved:.9g}"
 
 
-def _run_bench(sc: Scenario, out_dir: Path) -> list[tuple[Path, str]]:
+def _run_bench(sc: Scenario, out_dir: Path, stages: dict
+               ) -> list[tuple[Path, str]]:
+    """The table as CSV and as aligned text; ``stages`` gets the seconds
+    spent on the rotation sweeps and on writing both files."""
+    clock = time.perf_counter
+    start = clock()
     roster = [default_front_end(k) for k in sc.bench.front_ends]
     rows = compare_table(roster, sc.bench.step_deg)
+    stages["sweep"] = clock() - start
+    start = clock()
     csv_path = out_dir / f"{sc.name}_bench.csv"
     table_to_csv(rows, csv_path)
     txt_path = out_dir / f"{sc.name}_bench.txt"
     txt_path.write_text(format_table(rows) + "\n")
+    stages["write"] = clock() - start
     return [(csv_path, f"{csv_path.name}: {len(rows)} front-end(s)"),
             (txt_path, f"{txt_path.name}: aligned table")]
 
@@ -254,8 +262,9 @@ def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunR
     Returns the artifact paths and one summary line per artifact; the
     summary lines are also printed unless ``quiet``.  Every warning
     raised meanwhile is counted by message in the ``.meta.json`` sidecar
-    and then issued again to the caller; for an evaluation the sidecar
-    also holds the seconds of its stages (``_run_eval``).
+    and then issued again to the caller; for an evaluation or a bench the
+    sidecar also holds the seconds of its stages (``_run_eval``,
+    ``_run_bench``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -270,7 +279,7 @@ def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunR
             elif mode == "design":
                 produced = [_run_design(scenario, out_dir)]
             elif mode == "bench":
-                produced = _run_bench(scenario, out_dir)
+                produced = _run_bench(scenario, out_dir, stages)
             else:
                 produced = _run_eval(scenario, out_dir, stages)
     finally:

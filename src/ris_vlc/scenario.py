@@ -163,8 +163,7 @@ def _bounded(path: str, key: str, value: Any, errors: list[str],
     bound = _BOUNDS[field or key]
     if bound.ok(value):
         return True
-    shown = repr(value) if bound.integer else f"{value:g}"
-    errors.append(f"{path}.{key}{index}: must {bound.text}, got {shown}")
+    errors.append(f"{path}.{key}{index}: must {bound.text}, got {value!r}")
     return False
 
 

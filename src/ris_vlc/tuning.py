@@ -14,13 +14,12 @@ returns an actuator's drive-to-geometry map over a base slab together
 with its active drive interval, for voltage solves, voltage sweeps and
 the rotation bench alike.
 
-Inverse solvers use the closed form where one exists: the index, the
-depth and the liquid-crystal drive (every target metric inverts to a
-slab index, and the index ramp is linear in the drive).  The meta-lens
-drive is bisected over its drive interval, exploiting the monotonicity
-of the map: its landing equation is a sextic in the stretch.  ``solve``
-is the one design solve: it picks the solver for a target's free
-variable and reports the metric the solved slab achieves.
+Every inverse solve is closed form: the index and the depth directly,
+a liquid-crystal drive through a slab index (the index ramp is linear in
+the drive), a meta-lens drive through its stretch (exactly for an angle,
+by a safeguarded Newton iteration to adjacent floats for a landing or a
+spot width).  ``solve`` is the one design solve: it picks the solver for
+a target's free variable and reports the metric the solved slab achieves.
 """
 
 from __future__ import annotations
@@ -30,15 +29,16 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
-from .diffraction import first_null_angle, steering_offset_mm
+from .diffraction import (first_null_angle, medium_wavelength_nm,
+                          steering_offset_mm)
 from .optics import (BOUNDS as OPTICS_BOUNDS, INDEX_RANGE, NON_NEGATIVE,
                      POSITIVE, Angle, Bound, IncidentWave, SteeringGeometry,
-                     check_fields, interval, refraction_angle)
+                     check_fields, grating_term, interval, refraction_angle,
+                     steering_sine)
 
 __all__ = [
     "OutOfMaterialRange",
     "Infeasible",
-    "NonMonotonic",
     "MetaLensActuator",
     "LiquidCrystalActuator",
     "Actuator",
@@ -86,10 +86,6 @@ class Infeasible(Exception):
     def __init__(self, msg: str, achievable: tuple[float, float]):
         super().__init__(msg)
         self.achievable = achievable
-
-
-class NonMonotonic(Exception):
-    """Forward metric is not monotone over the bisection bracket."""
 
 
 @dataclass(frozen=True)
@@ -233,10 +229,11 @@ def drive_map(
 def _index_for_sine(wave: IncidentWave, slit_um: float, sin_out: float,
                     n_air: float) -> float:
     """Slab index that steers ``wave`` to the angle whose sine is
-    ``sin_out``: the steering equation solved for n_ris."""
-    numerator = (n_air * math.sin(wave.incidence.radians)
-                 + wave.order * wave.wavelength.nanometres / (slit_um * 1e3))
-    return numerator / sin_out
+    ``sin_out``: n_ris sin(theta_out) is symmetric in its two factors, so
+    the steering sine with the two swapped gives n_ris."""
+    grating = grating_term(wave.order, wave.wavelength.nanometres, slit_um)
+    return steering_sine(n_air, math.sin(wave.incidence.radians), grating,
+                         sin_out)
 
 
 def solve_index_for_angle(
@@ -314,73 +311,86 @@ def _lc_drive(act: LiquidCrystalActuator, kind: str, value: float,
     return min(max(v, act.v_on_v), act.v_sat_v)
 
 
-def _bisect_monotone(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    *,
-    rel_tol: float = 1e-6,
-    max_steps: int = 60,
-    inverse: Callable[[float], float] | None = None,
-) -> float:
-    """Bisection for a monotone (either direction) metric on [lo, hi].
+def _metalens_drive(act: MetaLensActuator, kind: str, value: float,
+                    base: SteeringGeometry, wave: IncidentWave) -> float:
+    """Drive at which the meta-lens over ``base`` meets the target metric
+    ``value``, which lies strictly between the metrics at either end of
+    the drive interval.
 
-    Raises Infeasible when the target is outside [f(lo), f(hi)] and
-    NonMonotonic when midpoint values escape the current bracket.
-    ``inverse``, the closed-form solution of f(x) = target when one
-    exists, replaces the bisection; the end checks still come first.
+    The stretch s takes the slit a to s a and the depth y to y / s^2.
+    With A = n_air sin(theta_in) and B = m lambda / a, a refraction angle
+    inverts exactly: n sin(theta) = A + B / s.  A landing
+    L(q) = y q^2 S / sqrt(1 - S^2), with q = 1/s and S = (A + B q) / n,
+    is increasing and convex in q over [1/s_max, 1], so Newton steps from
+    q = 1 approach its root from above; a step that would leave the
+    bracket is replaced by a bisection.  Half a spot width W is such a
+    landing with S = c q, c = lambda / (n a): the root of the cubic
+    u^3 - c^2 u^2 - (2 y c / W)^2 = 0 in u = s^2, without its powers,
+    which overflow for wide stretches.  The drive is clamped to
+    [0, v_max].
     """
-    f_lo, f_hi = f(lo), f(hi)
-    scale = max(abs(target), 1e-30)
-    lo_val, hi_val = min(f_lo, f_hi), max(f_lo, f_hi)
-    slack = rel_tol * scale
-    if not lo_val - slack <= target <= hi_val + slack:
-        raise Infeasible(
-            f"target {target:.9g} outside achievable interval "
-            f"[{lo_val:.9g}, {hi_val:.9g}]", achievable=(lo_val, hi_val))
-    if abs(f_lo - target) <= slack:
-        return lo
-    if abs(f_hi - target) <= slack:
-        return hi
-    if inverse is not None:
-        return inverse(target)
-    increasing = f_hi > f_lo
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        bracket_lo, bracket_hi = min(f_lo, f_hi), max(f_lo, f_hi)
-        if not bracket_lo - slack <= f_mid <= bracket_hi + slack:
-            raise NonMonotonic(
-                f"metric {f_mid:.9g} at {mid:.9g} escapes bracket "
-                f"[{bracket_lo:.9g}, {bracket_hi:.9g}]")
-        if abs(f_mid - target) <= slack:
-            return mid
-        if (f_mid < target) == increasing:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    raise NonMonotonic(
-        f"metric failed to reach target {target:.9g} within {max_steps} "
-        f"bisection steps (bracket values {f_lo:.9g}, {f_hi:.9g})")
+    s_max, y, n = act.stretch_max, base.depth_mm, base.n_ris
+    a_term = base.n_air * math.sin(wave.incidence.radians)
+    b_term = grating_term(wave.order, wave.wavelength.nanometres, base.slit_um)
+    if kind == "refraction_angle":
+        s = b_term / (n * math.sin(math.radians(value)) - a_term)
+    else:
+        if kind == "spot_width":
+            a_term, n, value = 0.0, 1.0, value / 2.0
+            b_term = medium_wavelength_nm(base, wave) / (base.slit_um * 1e3)
+        lo, q = 1.0 / s_max, 1.0
+        hi = q
+        while True:
+            sine = (a_term + b_term * q) / n
+            cos2 = 1.0 - sine * sine
+            lead = y * q / math.sqrt(cos2)
+            excess = lead * q * sine - value
+            if excess == 0.0:
+                break
+            if excess < 0.0:
+                lo = q
+            else:
+                hi = q
+            slope = lead * (2.0 * sine + q * b_term / (n * cos2))
+            nxt = q - excess / slope if slope else math.nan
+            if nxt == q:
+                break
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+                if nxt in (lo, hi):
+                    break
+            q = nxt
+        s = 1.0 / q
+    v = (s - 1.0) / (s_max - 1.0) * act.v_max_v
+    return min(max(v, 0.0), act.v_max_v)
 
 
 def solve_voltage(target: DesignTarget, actuator: Actuator) -> float:
-    """Drive voltage meeting the target metric within 1e-6 relative.
+    """Drive voltage meeting the target metric.
 
     The forward pipeline (apply actuator, evaluate the target kind) is
     evaluated at both ends of the drive interval, [0, v_max] for the
-    meta-lens or [v_on, v_sat] for the liquid-crystal cell, to check the
-    target is reachable.  The liquid-crystal drive then follows in closed
-    form; the meta-lens drive is bisected.
+    meta-lens or [v_on, v_sat] for the liquid-crystal cell.  A target
+    more than 1e-6 relative outside the metrics there is Infeasible; one
+    within that slack of an end gets the end drive.  Any other drive
+    follows in closed form: ``_lc_drive`` or ``_metalens_drive``.
     """
     apply, lo, hi = drive_map(actuator, target.geometry)
-    forward = lambda v: _evaluate_metric(target.kind, apply(v), target.wave)
-    inverse = None
+    kind, value, wave = target.kind, target.value, target.wave
+    ends = [_evaluate_metric(kind, apply(v), wave) for v in (lo, hi)]
+    lo_val, hi_val = min(ends), max(ends)
+    slack = 1e-6 * max(abs(value), 1e-30)
+    if not lo_val - slack <= value <= hi_val + slack:
+        raise Infeasible(
+            f"target {value:.9g} outside achievable interval "
+            f"[{lo_val:.9g}, {hi_val:.9g}]", achievable=(lo_val, hi_val))
+    for v, metric in zip((lo, hi), ends):
+        if abs(metric - value) <= slack:
+            return v
     if isinstance(actuator, LiquidCrystalActuator):
-        inverse = lambda value: _lc_drive(actuator, target.kind, value,
-                                          target.geometry, target.wave)
-    return _bisect_monotone(forward, lo, hi, target.value, inverse=inverse)
+        return _lc_drive(actuator, kind, value, target.geometry, wave)
+    return _metalens_drive(actuator, kind, value,
+                           target.geometry or actuator.base_geometry, wave)
 
 
 def solve(target: DesignTarget,

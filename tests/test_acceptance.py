@@ -250,7 +250,7 @@ def test_criterion_7_inverse_solver_round_trips():
         w = wave(rng.uniform(300.0, 1500.0), rng.uniform(20.0, 90.0))
         value = refraction_angle(lc_apply(lc, v0, base), w).degrees
         target = DesignTarget("refraction_angle", value, w, base, "voltage")
-        v_hat = solve_voltage(target, lc)  # raises if > 60 bisection steps
+        v_hat = solve_voltage(target, lc)
         achieved = refraction_angle(lc_apply(lc, v_hat, base), w).degrees
         if abs(achieved - value) > 1e-6 * value:
             problems.append(f"lc voltage target missed: {value} vs {achieved}")

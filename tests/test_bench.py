@@ -9,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ris_vlc.bench import (KINDS, RIS_KINDS, ReceiverFrontEnd,
                            compare_table, default_front_end, detect,
                            format_table, rotation_sweep, table_to_csv)
-from ris_vlc.optics import Angle, SteeringGeometry
-from ris_vlc.tuning import LiquidCrystalActuator, MetaLensActuator
+from ris_vlc.diffraction import steering_offset_mm
+from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
+                            SteeringGeometry, Wavelength)
+from ris_vlc.radiometry import transmittance
+from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
+                            MetaLensActuator, drive_map, solve_voltage)
 
 
 def deg(value):
@@ -220,3 +224,50 @@ def test_sweep_equals_detect_at_every_rotation(fe, step):
     for message, count in each.items():
         if not message.startswith(_TAIL_WARNING):
             assert swept[message] == count
+
+
+def object_model_detect(fe, angle_deg):
+    """(detected, intensity) at one rotation, computed through the value
+    objects: an Angle, an IncidentWave, the landings of the rest and
+    full-drive slabs, a voltage solve where the rest slab misses the
+    detector, and the transmittance of the slab that lands."""
+    rotation = Angle.from_degrees(angle_deg)
+    deg = rotation.degrees
+    if deg > fe.max_incidence.degrees + 1e-9:
+        return (False, 0.0)
+    if fe.kind not in RIS_KINDS:
+        intensity = math.cos(rotation.radians)
+        if fe.kind == "cmbbp" and deg > fe.rolloff_start.degrees:
+            start, edge = fe.rolloff_start.degrees, fe.max_incidence.degrees
+            intensity *= 1.0 - 0.5 * (deg - start) / (edge - start)
+        return (True, intensity)
+    apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
+    rest, full = apply(v_rest), apply(v_full)
+    wave = IncidentWave(Wavelength(fe.wavelength_nm), rotation, order=1)
+    half = rest.pd_length_mm / 2
+    try:
+        landing_rest = steering_offset_mm(rest, wave)
+        if steering_offset_mm(full, wave) > half + 1e-12:
+            return (False, 0.0)
+        if landing_rest > half:
+            target = DesignTarget("pd_landing", half, wave, fe.geometry,
+                                  "voltage")
+            state = apply(solve_voltage(target, fe.actuator))
+            return (True, transmittance(state, wave).value)
+        return (True, transmittance(rest, wave).value)
+    except (EvanescentOrder, Infeasible):
+        return (False, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fe=front_ends(),
+       step=st.floats(2.0, 90.0) | st.sampled_from([0.9, 1.0, 7.5, 90.0]))
+def test_float_sweep_equals_the_object_model(fe, step):
+    """The sweep's plain-float path gives, bit for bit, what the value
+    objects give rotation by rotation."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        sweep = rotation_sweep(fe, step)
+        reference = [object_model_detect(fe, a) for a in sweep.angles_deg]
+    assert list(sweep.detected) == [d for d, _ in reference]
+    assert list(sweep.relative_intensity) == [i for _, i in reference]

@@ -59,6 +59,10 @@ def sidecar_warnings(out, name="case"):
     return json.loads((out / f"{name}.meta.json").read_text())["warnings"]
 
 
+def sidecar_stages(out, name):
+    return json.loads((out / f"{name}.meta.json").read_text()).get("stages_s")
+
+
 class TestRunner:
     def test_eval_artifacts(self, tmp_path):
         sc = scenario_from_dict(minimal(), name="single")
@@ -143,10 +147,7 @@ class TestRunner:
         assert float(cells["achieved_mm"]) == pytest.approx(0.5, rel=1e-5)
 
     def test_eval_sidecar_records_stage_seconds(self, tmp_path):
-        def stages(name):
-            meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
-            return meta.get("stages_s")
-
+        stages = lambda name: sidecar_stages(tmp_path, name)
         data = minimal()
         data["profile"] = {"samples": 3001, "curves": {"depth_mm": [0.5, 1.0]}}
         run(scenario_from_dict(data, name="prof"), tmp_path, quiet=True)
@@ -160,6 +161,20 @@ class TestRunner:
                          "to_nm": 600.0, "steps": 3}
         run(scenario_from_dict(data, name="sw"), tmp_path, quiet=True)
         assert stages("sw") is None
+
+    def test_bench_sidecar_records_stage_seconds(self, tmp_path):
+        stages = lambda name: sidecar_stages(tmp_path, name)
+        data = minimal()
+        data["bench"] = {"front_ends": ["convex", "lc_ris"], "step_deg": 5.0}
+        run(scenario_from_dict(data, name="tab"), tmp_path, quiet=True)
+        seconds = stages("tab")
+        assert list(seconds) == ["sweep", "write"]
+        assert all(isinstance(s, float) and s > 0 for s in seconds.values())
+        data = minimal()
+        data["design"] = {"kind": "refraction_angle", "value_deg": 5.0,
+                          "free": "n_ris"}
+        run(scenario_from_dict(data, name="des"), tmp_path, quiet=True)
+        assert stages("des") is None
 
     @pytest.mark.parametrize("key, actuator", [
         *((key, {"preset": "lc-sun2019"}) for key in CURVE_KEYS),

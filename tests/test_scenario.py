@@ -158,10 +158,10 @@ class TestActuatorBlock:
 
     @pytest.mark.parametrize("actuator, errors", [
         ({"type": "metalens", "v_max_v": -1.0, "stretch_max": math.inf},
-         ["actuator.v_max_v: must be finite and > 0, got -1",
+         ["actuator.v_max_v: must be finite and > 0, got -1.0",
           "actuator.stretch_max: must be finite and > 1, got inf"]),
         ({"type": "lc", "v_on_v": 0, "n_base": 2.4},
-         ["actuator.v_on_v: must be finite and > 0, got 0"]),
+         ["actuator.v_on_v: must be finite and > 0, got 0.0"]),
         ({"type": "lc", "n_base": 2.4},
          ["actuator: n_base + delta_n = 2.7 exceeds 2.5"]),
         ({"type": "lc", "n_base": 1.5, "delta_n": 0.5},
@@ -223,7 +223,7 @@ class TestBlockValidation:
                          "baseline": {"slit_um": -4.0, "n_ris": 1.9}}
         errs = errors_of(data)
         assert errs == ["sweep.baseline.slit_um: must be finite and > 0, "
-                        "got -4"]
+                        "got -4.0"]
 
     def test_voltage_sweep_requires_actuator(self):
         data = minimal()
@@ -261,7 +261,16 @@ class TestBlockValidation:
         data["geometry"]["pd_length_mm"] = 1e-322
         assert errors_of(data) == [
             "geometry.pd_length_mm: must be finite and >= "
-            "2.2250738585072014e-308, got 9.88131e-323"]
+            "2.2250738585072014e-308, got 1e-322"]
+
+    def test_violation_shows_the_value_as_given(self):
+        data = minimal()
+        data["geometry"].update(n_ris=2.5000001, n_air=1.0010001)
+        data["wave"]["wavelength_nm"] = 2000.0000001
+        assert errors_of(data) == [
+            "geometry.n_air: must lie in [1.0, 1.001], got 1.0010001",
+            "geometry.n_ris: must lie in (1.0, 2.5], got 2.5000001",
+            "wave.wavelength_nm: must lie in [200, 2000], got 2000.0000001"]
 
     def test_bench_kinds_validated(self):
         data = minimal()

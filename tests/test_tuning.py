@@ -9,11 +9,10 @@ from ris_vlc.diffraction import NullBeyondHorizon, first_null_angle, steering_of
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, Wavelength, refraction_angle)
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
-                            MetaLensActuator, NonMonotonic, OutOfMaterialRange,
-                            _bisect_monotone, actuator_preset, drive_map,
-                            lc_apply, metalens_apply, solve,
-                            solve_depth_for_spot, solve_index_for_angle,
-                            solve_voltage)
+                            MetaLensActuator, OutOfMaterialRange,
+                            actuator_preset, drive_map, lc_apply,
+                            metalens_apply, solve, solve_depth_for_spot,
+                            solve_index_for_angle, solve_voltage)
 
 
 def geom(slit=100.0, depth=0.75, pd=1.0, n=1.508):
@@ -327,8 +326,8 @@ def forward(kind, g, w):
 def bisected_drive(act, kind, value, base, w):
     """Reference drive: the forward map bisected until the bracket closes
     to adjacent floats."""
-    f = lambda v: forward(kind, lc_apply(act, v, base), w)
-    lo, hi = act.v_on_v, act.v_sat_v
+    apply, lo, hi = drive_map(act, base)
+    f = lambda v: forward(kind, apply(v), w)
     increasing = f(hi) > f(lo)
     while True:
         mid = 0.5 * (lo + hi)
@@ -354,6 +353,30 @@ def counting(monkeypatch, name):
 
 
 KINDS = ("refraction_angle", "pd_landing", "spot_width")
+
+
+def assert_infeasible_beyond(end, kind, act, base, w):
+    """A target 1e-5 beyond the metric at either end of the drive interval
+    is Infeasible, with its text and its achievable interval."""
+    apply, lo, hi = drive_map(act, base)
+    ends = sorted(forward(kind, apply(v), w) for v in (lo, hi))
+    value = ends[0] * (1 - 1e-5) if end == "low" else ends[1] * (1 + 1e-5)
+    with pytest.raises(Infeasible) as exc_info:
+        solve_voltage(DesignTarget(kind, value, w, base, "voltage"), act)
+    assert str(exc_info.value) == (
+        f"target {value:.9g} outside achievable interval "
+        f"[{ends[0]:.9g}, {ends[1]:.9g}]")
+    assert exc_info.value.achievable == tuple(ends)
+
+
+def assert_ends_within_slack(kind, act, base, w):
+    """A target within the 1e-6 slack of an end gets that end's drive."""
+    apply, lo, hi = drive_map(act, base)
+    for v_end in (lo, hi):
+        value = forward(kind, apply(v_end), w) * (1 + 5e-7)
+        got = solve_voltage(DesignTarget(kind, value, w, base, "voltage"),
+                            act)
+        assert got == v_end
 
 
 class TestClosedFormLiquidCrystal:
@@ -387,25 +410,13 @@ class TestClosedFormLiquidCrystal:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("end", ["low", "high"])
     def test_infeasible_beyond_either_end(self, kind, end):
-        act, base, w = actuator_preset("lc-sun2019"), geom(slit=4.0), wave()
-        ends = sorted(forward(kind, lc_apply(act, v, base), w)
-                      for v in (act.v_on_v, act.v_sat_v))
-        value = ends[0] * (1 - 1e-5) if end == "low" else ends[1] * (1 + 1e-5)
-        with pytest.raises(Infeasible) as exc_info:
-            solve_voltage(DesignTarget(kind, value, w, base, "voltage"), act)
-        assert str(exc_info.value) == (
-            f"target {value:.9g} outside achievable interval "
-            f"[{ends[0]:.9g}, {ends[1]:.9g}]")
-        assert exc_info.value.achievable == tuple(ends)
+        assert_infeasible_beyond(end, kind, actuator_preset("lc-sun2019"),
+                                 geom(slit=4.0), wave())
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_target_within_slack_of_an_end_returns_that_end(self, kind):
-        act, base, w = actuator_preset("lc-sun2019"), geom(slit=4.0), wave()
-        for v_end in (act.v_on_v, act.v_sat_v):
-            value = forward(kind, lc_apply(act, v_end, base), w) * (1 + 5e-7)
-            got = solve_voltage(DesignTarget(kind, value, w, base, "voltage"),
-                                act)
-            assert got == v_end
+        assert_ends_within_slack(kind, actuator_preset("lc-sun2019"),
+                                 geom(slit=4.0), wave())
 
     def test_bracket_end_errors_propagate(self):
         act = LiquidCrystalActuator(n_base=1.5, delta_n=0.4)
@@ -420,48 +431,80 @@ class TestClosedFormLiquidCrystal:
         with pytest.raises(NullBeyondHorizon):
             solve_voltage(target, act)
 
-    @pytest.mark.parametrize("kind, evaluations", [
-        ("pd_landing", 18), ("refraction_angle", 12), ("spot_width", 18)])
-    def test_metalens_keeps_its_bisection(self, kind, evaluations,
-                                          monkeypatch):
+
+class TestClosedFormMetaLens:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_a_bisection_of_the_forward_map(self, kind):
+        rng = random.Random(f"metalens {kind}")
+        solved = 0
+        while solved < 200:
+            base = geom(slit=rng.uniform(5.0, 200.0),
+                        depth=rng.uniform(0.05, 5.0), n=rng.uniform(1.3, 2.0))
+            act = MetaLensActuator(v_max_v=rng.uniform(10.0, 2000.0),
+                                   stretch_max=rng.uniform(1.05, 3.0),
+                                   base_geometry=base)
+            w = wave(rng.uniform(300.0, 1500.0), rng.uniform(0.0, 90.0),
+                     order=rng.choice([0, 1, 2, 3]))
+            v_true = rng.uniform(0.05, 0.95) * act.v_max_v
+            try:
+                ends = [forward(kind, metalens_apply(act, v), w)
+                        for v in (0.0, act.v_max_v)]
+            except EvanescentOrder:
+                continue
+            value = forward(kind, metalens_apply(act, v_true), w)
+            if abs(ends[0] - ends[1]) <= 1e-5 * value:
+                continue  # the metric does not depend on the drive
+            v = solve_voltage(DesignTarget(kind, value, w, None, "voltage"),
+                              act)
+            reference = bisected_drive(act, kind, value, None, w)
+            assert v == pytest.approx(reference, rel=1e-9, abs=0)
+            solved += 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_forward_evaluations_per_solve(self, kind, monkeypatch):
         act = metalens(stretch_max=1.5, base=geom(n=1.6))
         w = wave(inc=80.0)
         value = forward(kind, metalens_apply(act, 640.0), w)
         calls = counting(monkeypatch, "metalens_apply")
         v = solve_voltage(DesignTarget(kind, value, w, None, "voltage"), act)
-        assert len(calls) == evaluations
+        assert [c[1] for c in calls] == [0.0, 1000.0]
         achieved = forward(kind, metalens_apply(act, v), w)
-        assert achieved == pytest.approx(value, rel=1e-6)
+        assert achieved == pytest.approx(value, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_infeasible_beyond_either_end(self, kind, end):
+        assert_infeasible_beyond(end, kind, metalens(1.5, base=geom(n=1.6)),
+                                 None, wave(inc=80.0))
 
-class TestBisectionCore:
-    def test_converges_on_monotone_function(self):
-        got = _bisect_monotone(lambda x: x ** 3, 0.0, 2.0, 1.0)
-        assert got == pytest.approx(1.0, rel=1e-6)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_target_within_slack_of_an_end_returns_that_end(self, kind):
+        assert_ends_within_slack(kind, metalens(1.5, base=geom(n=1.6)), None,
+                                 wave(inc=80.0))
 
-    def test_decreasing_direction(self):
-        got = _bisect_monotone(lambda x: 10.0 - x, 0.0, 10.0, 2.5)
-        assert got == pytest.approx(7.5, rel=1e-6)
+    @pytest.mark.parametrize("value", [9.862328686366902e149, 1e100])
+    def test_stretch_over_many_decades(self, value):
+        """A stretch range of 47 decades: the landing iteration still meets
+        the target to rounding."""
+        base = geom(slit=3.5161400538981007e56, depth=2.7659700343614743e153,
+                    n=2.394490013864322)
+        act = metalens(stretch_max=1.7126627227452792e47, base=base)
+        target = DesignTarget("pd_landing", value, wave(lam=838.6, order=0),
+                              None, "voltage")
+        _, achieved = solve(target, act)
+        assert achieved == pytest.approx(value, rel=1e-12)
 
-    def test_non_monotone_detected(self):
-        # rises past both endpoint values before falling back
-        bump = lambda x: math.sin(math.pi * x)
-        with pytest.raises(NonMonotonic):
-            _bisect_monotone(bump, 0.2, 1.0, 0.3)
-
-    def test_flat_metric_outside_target_is_infeasible(self):
-        with pytest.raises(Infeasible):
-            _bisect_monotone(lambda x: 1.0, 0.0, 1.0, 2.0)
-
-    def test_step_budget_respected(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x
-
-        _bisect_monotone(f, 0.0, 1.0, 0.4999999, max_steps=60)
-        assert len(calls) <= 62  # two endpoint probes plus the bisection
+    def test_landing_near_the_evanescent_edge(self):
+        """A rest slab whose first order is just short of evanescent: the
+        landing is steep in the stretch there."""
+        base = geom(slit=100.0, depth=0.75, n=1.0056)
+        act = metalens(stretch_max=1.5, base=base)
+        w = wave(inc=90.0)
+        value = forward("pd_landing", metalens_apply(act, 1.0), w)
+        v = solve_voltage(DesignTarget("pd_landing", value, w, None,
+                                       "voltage"), act)
+        assert v == pytest.approx(
+            bisected_drive(act, "pd_landing", value, None, w), rel=1e-9)
 
 
 class TestDesignTarget:
