@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .optics import (BOUNDS as OPTICS_BOUNDS, POSITIVE, Angle, EvanescentOrder,
-                     IncidentWave, SteeringGeometry, Wavelength, grating_term,
-                     interval, steering_sine)
+from .optics import (POSITIVE, Angle, EvanescentOrder, IncidentWave,
+                     SteeringGeometry, Wavelength, grating_term, interval,
+                     steering_sine)
 from .radiometry import _incidence_factor, transmittance
 from .diffraction import pattern_power_fraction
 from .tuning import (Actuator, DesignTarget, Infeasible, MetaLensActuator,
@@ -34,7 +34,6 @@ __all__ = [
     "RotationSweepResult",
     "FrontEndSummary",
     "default_front_end",
-    "detect",
     "rotation_sweep",
     "compare_table",
     "table_to_csv",
@@ -181,10 +180,12 @@ def _cmbbp_rolloff(fe: ReceiverFrontEnd, deg: float) -> float:
 
 
 class _Detector:
-    """``detect`` for one front end at a rotation in radians, built once
-    per sweep with what does not depend on the rotation: the drive map,
-    the rest and full-drive slabs with their order terms and, on first
-    use, the rest slab's capture fraction.
+    """(detected, relative intensity) of one front end at a rotation in
+    radians, built once per sweep with what does not depend on the
+    rotation: the drive map, the rest and full-drive slabs with their
+    order terms and, on first use, the rest slab's capture fraction.
+    ``rotation_sweep`` alone calls it, on its grid in [0, 90] deg, so the
+    rotation is not checked again here.
 
     A rotation is evaluated in plain floats, by the operations of
     ``refraction_angle``, ``steering_offset_mm`` and ``transmittance``
@@ -206,7 +207,6 @@ class _Detector:
 
     def __call__(self, rad: float) -> tuple[bool, float]:
         deg = math.degrees(rad)
-        OPTICS_BOUNDS["incidence_deg"].check("rotation", deg)
         if deg > self.max_deg:
             return (False, 0.0)
         if self.fe.kind in RIS_KINDS:
@@ -240,11 +240,6 @@ class _Detector:
             self.rest_capture = pattern_power_fraction(rest, wave, half)
         factor = _incidence_factor(rad)
         return (True, 0.0 if factor == 0.0 else factor * self.rest_capture)
-
-
-def detect(front_end: ReceiverFrontEnd, rotation: Angle) -> tuple[bool, float]:
-    """(detected, relative intensity) at one receiver rotation."""
-    return _Detector(front_end)(rotation.radians)
 
 
 def rotation_sweep(front_end: ReceiverFrontEnd, step_deg: float) -> RotationSweepResult:

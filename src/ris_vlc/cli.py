@@ -21,7 +21,7 @@ import warnings
 from collections import Counter
 
 from .diffraction import NullBeyondHorizon
-from .optics import EvanescentOrder, TotalInternalReflection
+from .optics import EvanescentOrder
 from .runner import run, run_bundled
 from .scenario import ScenarioError, load_scenario
 from .tuning import Infeasible, OutOfMaterialRange
@@ -31,8 +31,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_NUMERICAL_ERRORS = (EvanescentOrder, TotalInternalReflection,
-                     NullBeyondHorizon, Infeasible, OutOfMaterialRange)
+_NUMERICAL_ERRORS = (EvanescentOrder, NullBeyondHorizon, Infeasible,
+                     OutOfMaterialRange)
 
 _SCENARIO_COMMANDS = ("eval", "sweep", "design", "bench")
 

@@ -48,7 +48,6 @@ __all__ = [
     "IntensityProfile",
     "SpotReport",
     "medium_wavelength_nm",
-    "fraunhofer_relative_intensity",
     "steering_offset_mm",
     "first_null_angle",
     "profile_on_pd",
@@ -125,22 +124,6 @@ class SpotReport:
 def medium_wavelength_nm(geom: SteeringGeometry, wave: IncidentWave) -> float:
     """In-medium wavelength lambda / n_ris, in nanometres."""
     return wave.wavelength.nanometres / geom.n_ris
-
-
-def fraunhofer_relative_intensity(
-    geom: SteeringGeometry, wave: IncidentWave, theta: Angle
-) -> float:
-    """Relative intensity of the pattern at angle ``theta`` from its centre.
-
-    Exactly 1 at theta = 0 (the sinc limit) and 0 at the nulls
-    sin(theta) = k * lambda_m / a.
-    """
-    if not -math.pi / 2 < theta.radians < math.pi / 2:
-        raise ValueError(
-            f"theta must lie in (-90, 90) deg, got {theta.degrees:.6g} deg")
-    ratio = geom.slit_um * 1e3 / medium_wavelength_nm(geom, wave)
-    x = math.pi * ratio * math.sin(theta.radians)
-    return 1.0 if x == 0.0 else (math.sin(x) / x) ** 2
 
 
 def steering_offset_mm(geom: SteeringGeometry, wave: IncidentWave) -> float:

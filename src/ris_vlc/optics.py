@@ -20,13 +20,11 @@ from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "EvanescentOrder",
-    "TotalInternalReflection",
     "Wavelength",
     "Angle",
     "SteeringGeometry",
     "IncidentWave",
     "refraction_angle",
-    "snell_angle",
     "Bound",
     "BOUNDS",
     "WAVELENGTH_BAND_NM",
@@ -86,10 +84,6 @@ BOUNDS = {
 
 class EvanescentOrder(Exception):
     """Requested diffraction order cannot propagate inside the slab."""
-
-
-class TotalInternalReflection(Exception):
-    """No transmitted ray exists for the given interface and angle."""
 
 
 def check_fields(obj: Any, bounds: dict[str, Bound], *names: str) -> None:
@@ -198,27 +192,3 @@ def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
             f"(lambda={wave.wavelength.nanometres:g} nm, slit={geom.slit_um:g} um, "
             f"n_ris={geom.n_ris:g})")
     return Angle(math.asin(s))
-
-
-def snell_angle(n_in: float, n_out: float, theta_in: Angle) -> Angle:
-    """Plain refraction between two media (no diffraction order).
-
-    Equals ``refraction_angle`` with order 0.  Note the boundary
-    convention: a sine argument of exactly 1 refracts at 90 deg here,
-    while the order-based solver treats it as evanescent.
-
-    Raises:
-        TotalInternalReflection: sin(theta_in) * n_in / n_out > 1.
-    """
-    lo, hi = INDEX_RANGE
-    if not (lo <= n_in <= hi and lo <= n_out <= hi):
-        raise ValueError(f"indices must lie in [{lo}, {hi}], got "
-                         f"n_in={n_in}, n_out={n_out}")
-    BOUNDS["incidence_deg"].check("theta_in", theta_in.degrees)
-    s = math.sin(theta_in.radians) * n_in / n_out
-    if s > 1.0:
-        raise TotalInternalReflection(
-            f"sin(theta_in) * n_in / n_out = {s:.6g} > 1 "
-            f"(theta_in={theta_in.degrees:.6g} deg, n_in={n_in:g}, n_out={n_out:g})")
-    return Angle(math.asin(s))
-

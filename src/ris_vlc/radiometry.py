@@ -1,5 +1,4 @@
-"""Transmittance of the slab onto the detector and the tuning gain
-between two slab states.
+"""Transmittance of the slab onto the detector.
 
 Transmittance is detector-captured power over slit-incident power:
 
@@ -7,8 +6,9 @@ Transmittance is detector-captured power over slit-incident power:
 
 The cos factor is the whole incidence penalty (the wave is projected
 perpendicular to the slit); the capture fraction is the share of the
-diffraction pattern landing on the detector aperture.  Tuning gain is the
-plain difference of transmittance after minus before a state change.
+diffraction pattern landing on the detector aperture.  A sweep with a
+``baseline`` reports the tuning gain, the plain difference of this value
+for the swept slab minus the baseline slab (``runner``).
 """
 
 from __future__ import annotations
@@ -17,17 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .diffraction import pattern_power_fraction
-from .optics import (EvanescentOrder, IncidentWave, SteeringGeometry,
-                     refraction_angle)
+from .optics import IncidentWave, SteeringGeometry, refraction_angle
 
-__all__ = [
-    "TransmittanceResult",
-    "TuningGain",
-    "transmittance",
-    "tuning_gain",
-]
-
-_STATE_ERRORS = (EvanescentOrder, ValueError)
+__all__ = ["TransmittanceResult", "transmittance"]
 
 
 @dataclass(frozen=True)
@@ -45,20 +37,6 @@ class TransmittanceResult:
         if not 0.0 <= self.incidence_factor <= 1.0:
             raise ValueError(
                 f"incidence factor must lie in [0, 1], got {self.incidence_factor}")
-
-
-@dataclass(frozen=True)
-class TuningGain:
-    """gain = after.value - before.value; positive means the state change
-    delivered more power to the detector."""
-
-    before: TransmittanceResult
-    after: TransmittanceResult
-    gain: float
-
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.gain <= 1.0:
-            raise ValueError(f"gain must lie in [-1, 1], got {self.gain}")
 
 
 def _incidence_factor(incidence_rad: float) -> float:
@@ -91,24 +69,3 @@ def transmittance(
         incidence_factor=factor,
         captured_power_w=value * wave.power_w,
     )
-
-
-def tuning_gain(
-    geom_before: SteeringGeometry,
-    geom_after: SteeringGeometry,
-    wave: IncidentWave,
-) -> TuningGain:
-    """Transmittance difference after minus before a slab state change.
-
-    Errors from either state are re-raised annotated with which state
-    failed.
-    """
-    try:
-        before = transmittance(geom_before, wave)
-    except _STATE_ERRORS as exc:
-        raise type(exc)(f"before state: {exc}") from exc
-    try:
-        after = transmittance(geom_after, wave)
-    except _STATE_ERRORS as exc:
-        raise type(exc)(f"after state: {exc}") from exc
-    return TuningGain(before=before, after=after, gain=after.value - before.value)

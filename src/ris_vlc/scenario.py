@@ -299,7 +299,7 @@ def _parse_sweep(block: dict, has_actuator: bool,
                                          field=field) \
             and spacing == "log" and not start > 0:
         errors.append(f"{path}.{from_key}: must be > 0 for log spacing, "
-                      f"got {start:g}")
+                      f"got {start!r}")
     if stop is not MISSING:
         _bounded(path, to_key, stop, errors, field=field)
     if MISSING not in (start, stop) and not start < stop:

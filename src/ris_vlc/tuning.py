@@ -379,7 +379,7 @@ def solve_voltage(target: DesignTarget, actuator: Actuator) -> float:
     kind, value, wave = target.kind, target.value, target.wave
     ends = [_evaluate_metric(kind, apply(v), wave) for v in (lo, hi)]
     lo_val, hi_val = min(ends), max(ends)
-    slack = 1e-6 * max(abs(value), 1e-30)
+    slack = 1e-6 * value
     if not lo_val - slack <= value <= hi_val + slack:
         raise Infeasible(
             f"target {value:.9g} outside achievable interval "

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ris_vlc.bench import (KINDS, RIS_KINDS, ReceiverFrontEnd,
-                           compare_table, default_front_end, detect,
-                           format_table, rotation_sweep, table_to_csv)
+                           compare_table, default_front_end, format_table,
+                           rotation_sweep, table_to_csv)
 from ris_vlc.diffraction import steering_offset_mm
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, Wavelength)
@@ -43,13 +43,23 @@ class TestFrontEndConstruction:
         assert [default_front_end(k).kind for k in KINDS] == list(KINDS)
 
 
+def at_rotations(fe, step=5.0):
+    """(detected, intensity) by rotation in degrees, from a sweep of ``fe``
+    on the ``step`` grid (the 5 deg grid holds 0, 20, 30, 40, 55, 85, 90)."""
+    sweep = rotation_sweep(fe, step)
+    return dict(zip(sweep.angles_deg,
+                    zip(sweep.detected, sweep.relative_intensity)))
+
+
 class TestDetect:
+    """Detection at single rotations, read off the sweep grid."""
+
     def test_convex_beyond_envelope(self):
-        assert detect(default_front_end("convex"), deg(40.0)) == (False, 0.0)
+        assert at_rotations(default_front_end("convex"))[40.0] == (False, 0.0)
 
     def test_all_kinds_at_normal_incidence(self):
         for kind in KINDS:
-            found, intensity = detect(default_front_end(kind), deg(0.0))
+            found, intensity = at_rotations(default_front_end(kind))[0.0]
             assert found
             if kind in RIS_KINDS:
                 assert 0.9 < intensity <= 1.0  # capture fraction of the slab
@@ -58,27 +68,20 @@ class TestDetect:
 
     def test_lc_ris_at_grazing(self):
         for kind in RIS_KINDS:  # the meta-lens too
-            found, intensity = detect(default_front_end(kind), deg(90.0))
+            found, intensity = at_rotations(default_front_end(kind))[90.0]
             assert found
             assert intensity == 0.0  # cos factor kills the projected power
 
     def test_cos_law_for_legacy(self):
-        found, intensity = detect(default_front_end("spherical"), deg(30.0))
+        found, intensity = at_rotations(default_front_end("spherical"))[30.0]
         assert found
         assert intensity == pytest.approx(math.cos(math.radians(30.0)))
 
     def test_cmbbp_rolloff(self):
-        fe = default_front_end("cmbbp")
-        _, at_20 = detect(fe, deg(20.0))
-        assert at_20 == pytest.approx(math.cos(math.radians(20.0)))
-        _, at_85 = detect(fe, deg(85.0))
-        assert at_85 == pytest.approx(0.5 * math.cos(math.radians(85.0)))
-        _, at_55 = detect(fe, deg(55.0))
-        assert at_55 == pytest.approx(0.75 * math.cos(math.radians(55.0)))
-
-    def test_rotation_bounds(self):
-        with pytest.raises(ValueError):
-            detect(default_front_end("convex"), deg(91.0))
+        at = at_rotations(default_front_end("cmbbp"))
+        assert at[20.0][1] == pytest.approx(math.cos(math.radians(20.0)))
+        assert at[85.0][1] == pytest.approx(0.5 * math.cos(math.radians(85.0)))
+        assert at[55.0][1] == pytest.approx(0.75 * math.cos(math.radians(55.0)))
 
     def test_detection_monotone(self):
         for kind in ("convex", "cmbbp", "lc_ris"):
@@ -97,6 +100,12 @@ class TestRotationSweep:
     def test_grid_inclusive_of_endpoints(self):
         sweep = rotation_sweep(default_front_end("convex"), 90.0)
         assert sweep.angles_deg == (0.0, 90.0)
+
+    @pytest.mark.parametrize("step", [0.7, 0.9, 7.5, 13.0])
+    def test_grid_spans_zero_to_ninety(self, step):
+        angles = rotation_sweep(default_front_end("convex"), step).angles_deg
+        assert angles[0] == 0.0 and angles[-1] == 90.0
+        assert all(0.0 <= a <= 90.0 for a in angles)
 
     def test_fractional_step_hits_envelope_edge(self):
         sweep = rotation_sweep(default_front_end("convex"), 0.1)
@@ -209,23 +218,6 @@ def _recorded(call):
     return result, Counter(str(w.message) for w in caught)
 
 
-@settings(max_examples=100, deadline=None)
-@given(fe=front_ends(),
-       step=st.floats(2.0, 90.0) | st.sampled_from([0.9, 1.0, 7.5, 90.0]))
-def test_sweep_equals_detect_at_every_rotation(fe, step):
-    """A sweep reports exactly what ``detect`` reports rotation by rotation,
-    and raises the same warnings; only the horizon tail bound may fire
-    less often, once per slab state instead of once per rotation."""
-    sweep, swept = _recorded(lambda: rotation_sweep(fe, step))
-    single, each = _recorded(lambda: [detect(fe, deg(a))
-                                      for a in sweep.angles_deg])
-    assert list(zip(sweep.detected, sweep.relative_intensity)) == single
-    assert set(swept) == set(each)
-    for message, count in each.items():
-        if not message.startswith(_TAIL_WARNING):
-            assert swept[message] == count
-
-
 def object_model_detect(fe, angle_deg):
     """(detected, intensity) at one rotation, computed through the value
     objects: an Angle, an IncidentWave, the landings of the rest and
@@ -264,10 +256,15 @@ def object_model_detect(fe, angle_deg):
        step=st.floats(2.0, 90.0) | st.sampled_from([0.9, 1.0, 7.5, 90.0]))
 def test_float_sweep_equals_the_object_model(fe, step):
     """The sweep's plain-float path gives, bit for bit, what the value
-    objects give rotation by rotation."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        sweep = rotation_sweep(fe, step)
-        reference = [object_model_detect(fe, a) for a in sweep.angles_deg]
+    objects give rotation by rotation, and raises the same warnings; only
+    the horizon tail bound may fire less often, once per slab state
+    instead of once per rotation."""
+    sweep, swept = _recorded(lambda: rotation_sweep(fe, step))
+    reference, each = _recorded(lambda: [object_model_detect(fe, a)
+                                         for a in sweep.angles_deg])
     assert list(sweep.detected) == [d for d, _ in reference]
     assert list(sweep.relative_intensity) == [i for _, i in reference]
+    assert set(swept) == set(each)
+    for message, count in each.items():
+        if not message.startswith(_TAIL_WARNING):
+            assert swept[message] == count

@@ -3,15 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import sici
 
 from ris_vlc.diffraction import (IntensityProfile, NullBeyondHorizon,
-                                 _half_capture,
-                                 first_null_angle,
-                                 fraunhofer_relative_intensity,
+                                 _half_capture, first_null_angle,
                                  medium_wavelength_nm, pattern_power_fraction,
                                  profile_on_pd, spot_report, steering_offset_mm)
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
@@ -45,33 +44,39 @@ def brute_fraction(g, w, halfwidth_mm, samples=1_000_001):
     return num / den
 
 
+def sampled_at_sine(g, w, sine):
+    """``profile_on_pd`` at 3 samples, on a detector sized so that its ends
+    lie at sin(theta) = ``sine`` either side of the unsteered centre
+    (order 0, normal incidence)."""
+    pd = 2 * g.depth_mm * math.tan(math.asin(sine))
+    return profile_on_pd(replace(g, pd_length_mm=pd), w, 3).relative_intensity
+
+
 class TestPointIntensity:
+    """Point intensities as the profile samples them."""
+
     def test_unity_at_center(self):
-        assert fraunhofer_relative_intensity(geom(), wave(), Angle(0.0)) == 1.0
+        assert sampled_at_sine(geom(), wave(), 0.5)[1] == 1.0
 
     def test_first_null(self):
         lam_m = medium_wavelength_nm(geom(), wave())
-        theta = Angle(math.asin(lam_m / 4000.0))
-        assert fraunhofer_relative_intensity(geom(), wave(), theta) < 1e-12
+        ends = sampled_at_sine(geom(), wave(), lam_m / 4000.0)[::2]
+        assert max(ends) < 1e-12
 
     def test_nulls_to_third_order(self):
         g, w = geom(), wave()
         lam_m = medium_wavelength_nm(g, w)
         for k in (1, 2, 3):
-            theta = Angle(math.asin(k * lam_m / (g.slit_um * 1e3)))
-            assert fraunhofer_relative_intensity(g, w, theta) < 1e-10
+            ends = sampled_at_sine(g, w, k * lam_m / (g.slit_um * 1e3))[::2]
+            assert max(ends) < 1e-10
 
     def test_half_null_value(self):
         # sinc^2 at half the first-null argument: (2/pi)^2
         g, w = geom(), wave()
         lam_m = medium_wavelength_nm(g, w)
-        theta = Angle(math.asin(lam_m / (2 * g.slit_um * 1e3)))
-        assert fraunhofer_relative_intensity(g, w, theta) == \
-            pytest.approx((2 / math.pi) ** 2, abs=1e-9)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            fraunhofer_relative_intensity(geom(), wave(), Angle.from_degrees(90.0))
+        ends = sampled_at_sine(g, w, lam_m / (2 * g.slit_um * 1e3))[::2]
+        for value in ends:
+            assert value == pytest.approx((2 / math.pi) ** 2, abs=1e-9)
 
 
 class TestProfile:
@@ -86,10 +91,12 @@ class TestProfile:
     def test_matches_point_operation(self):
         g, w = geom(), wave(lam=633, order=1)
         prof = profile_on_pd(g, w, 51)
+        ratio = g.slit_um * 1e3 / medium_wavelength_nm(g, w)
         for u, val in zip(prof.positions_mm, prof.relative_intensity):
-            theta = Angle(math.atan((u - prof.center_offset_mm) / g.depth_mm))
-            assert val == pytest.approx(
-                fraunhofer_relative_intensity(g, w, theta), abs=1e-14)
+            theta = math.atan((u - prof.center_offset_mm) / g.depth_mm)
+            x = math.pi * ratio * math.sin(theta)
+            sinc2 = 1.0 if x == 0.0 else (math.sin(x) / x) ** 2
+            assert val == pytest.approx(sinc2, abs=1e-14)
 
     def test_steered_center(self):
         g, w = geom(), wave(lam=550, order=1)

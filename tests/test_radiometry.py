@@ -7,7 +7,7 @@ import pytest
 from ris_vlc.diffraction import pattern_power_fraction
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, Wavelength)
-from ris_vlc.radiometry import transmittance, tuning_gain
+from ris_vlc.radiometry import transmittance
 from ris_vlc.runner import run
 from ris_vlc.scenario import ScenarioError, scenario_from_dict
 
@@ -101,54 +101,6 @@ class TestTransmittance:
         assert transmittance(g, w, capture=capture) == transmittance(g, w)
 
 
-class TestTuningGain:
-    def test_identity_is_zero(self):
-        g, w = geom(), wave()
-        assert tuning_gain(g, g, w).gain == 0.0
-
-    def test_antisymmetry_exact(self):
-        a, b = geom(depth=0.2), geom(depth=1.0)
-        w = wave()
-        forward = tuning_gain(a, b, w)
-        backward = tuning_gain(b, a, w)
-        assert forward.gain == -backward.gain
-        assert forward.after == backward.before
-
-    def test_gain_matches_direct_difference(self):
-        a, b = geom(depth=0.2, pd=0.01), geom(depth=1.0, pd=0.01)
-        w = wave(lam=700)
-        got = tuning_gain(a, b, w)
-        assert got.gain == pytest.approx(
-            transmittance(b, w).value - transmittance(a, w).value, abs=0)
-
-    def test_bounds(self):
-        got = tuning_gain(geom(depth=0.2, pd=0.01), geom(depth=1.0, pd=0.01),
-                          wave(lam=400))
-        assert -1.0 <= got.gain <= 1.0
-
-    def test_gain_curve_matches_trapezoid_oracle(self):
-        # depth 0.2 -> 1.0 mm expansion, 10 um detector, band sample points;
-        # each gain value checked against two brute-force transmittances
-        before = geom(depth=0.2, pd=0.01)
-        after = geom(depth=1.0, pd=0.01)
-        for lam in (400.0, 550.0, 700.0, 850.0, 1000.0):
-            w = wave(lam=lam, order=1)
-            got = tuning_gain(before, after, w)
-            oracle = (brute_transmittance(after, w)
-                      - brute_transmittance(before, w))
-            assert got.gain == pytest.approx(oracle, abs=1e-5)
-
-    def test_failing_state_is_annotated(self):
-        ok = geom()
-        bad = SteeringGeometry(slit_um=0.4, depth_mm=1.0, pd_length_mm=1.0,
-                               n_ris=1.1)
-        w = wave(lam=800, inc=90, order=1)
-        with pytest.raises(EvanescentOrder, match="^before state"):
-            tuning_gain(bad, ok, w)
-        with pytest.raises(EvanescentOrder, match="^after state"):
-            tuning_gain(ok, bad, w)
-
-
 def sweep_rows(tmp_path, g, w, from_nm, to_nm, steps, **extra):
     """Rows of the wavelength sweep that ``runner.run`` writes for this
     geometry and wave, as dicts of the CSV's cells."""
@@ -162,6 +114,66 @@ def sweep_rows(tmp_path, g, w, from_nm, to_nm, steps, **extra):
     report = run(sc, tmp_path, quiet=True)
     header, *lines = report.artifacts[0].read_text().splitlines()
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+class TestTuningGain:
+    """The ``tuning_gain`` column of a wavelength sweep with a baseline:
+    the swept slab's transmittance minus the baseline slab's."""
+
+    @staticmethod
+    def gains(tmp_path, g, w, base_depth, lams):
+        rows = sweep_rows(tmp_path, g, w, lams[0], lams[-1], len(lams),
+                          baseline={"depth_mm": base_depth})
+        assert [float(r["wavelength_nm"]) for r in rows] == list(lams)
+        return [float(r["tuning_gain"]) for r in rows]
+
+    def test_identity_is_zero(self, tmp_path):
+        assert self.gains(tmp_path, geom(), wave(), 1.0,
+                          (550.0, 700.0)) == [0.0, 0.0]
+
+    def test_antisymmetry_exact(self, tmp_path):
+        w, lams = wave(), (550.0, 700.0)
+        forward = self.gains(tmp_path, geom(depth=1.0), w, 0.2, lams)
+        backward = self.gains(tmp_path, geom(depth=0.2), w, 1.0, lams)
+        assert forward == [-g for g in backward]
+        assert all(g != 0.0 for g in forward)
+
+    def test_gain_matches_direct_difference(self, tmp_path):
+        a, b = geom(depth=0.2, pd=0.01), geom(depth=1.0, pd=0.01)
+        got = self.gains(tmp_path, b, wave(), 0.2, (700.0, 1000.0))
+        for lam, gain in zip((700.0, 1000.0), got):
+            w = wave(lam=lam)
+            assert gain == transmittance(b, w).value - transmittance(a, w).value
+
+    def test_bounds(self, tmp_path):
+        (gain, _) = self.gains(tmp_path, geom(depth=1.0, pd=0.01), wave(),
+                               0.2, (400.0, 1000.0))
+        assert -1.0 <= gain <= 1.0
+
+    def test_gain_curve_matches_trapezoid_oracle(self, tmp_path):
+        # depth 0.2 -> 1.0 mm expansion, 10 um detector, band sample points;
+        # each gain value checked against two brute-force transmittances
+        before = geom(depth=0.2, pd=0.01)
+        after = geom(depth=1.0, pd=0.01)
+        lams = (400.0, 550.0, 700.0, 850.0, 1000.0)
+        got = self.gains(tmp_path, after, wave(order=1), 0.2, lams)
+        for lam, gain in zip(lams, got):
+            w = wave(lam=lam, order=1)
+            oracle = (brute_transmittance(after, w)
+                      - brute_transmittance(before, w))
+            assert gain == pytest.approx(oracle, abs=1e-5)
+
+    def test_failing_baseline_is_a_row_error(self, tmp_path):
+        # the first order propagates through the 4 um slit but not through
+        # the 0.4 um baseline slit, so the row records why, as any failed
+        # row does
+        g, w = geom(slit=4.0, n=1.4), wave(inc=90.0, order=1)
+        rows = sweep_rows(tmp_path, g, w, 800.0, 900.0, 2)
+        assert [r["error"] for r in rows] == ["", ""]
+        rows = sweep_rows(tmp_path, g, w, 800.0, 900.0, 2,
+                          baseline={"slit_um": 0.4})
+        assert [r["error"] for r in rows] == ["EvanescentOrder"] * 2
+        assert [r["tuning_gain"] for r in rows] == ["", ""]
 
 
 class TestWavelengthSweep:

@@ -461,7 +461,7 @@ class TestCli:
         assert code == 2
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record["violations"] == [
-            f"sweep.{from_key}: must be > 0 for log spacing, got 0"]
+            f"sweep.{from_key}: must be > 0 for log spacing, got 0.0"]
         assert not out.exists()
 
     def test_parser_is_built_once_and_reused(self, tmp_path, capsys):

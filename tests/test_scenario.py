@@ -272,6 +272,13 @@ class TestBlockValidation:
             "geometry.n_ris: must lie in (1.0, 2.5], got 2.5000001",
             "wave.wavelength_nm: must lie in [200, 2000], got 2000.0000001"]
 
+    def test_log_sweep_start_shows_the_value_as_given(self):
+        data = minimal()
+        data["sweep"] = {"parameter": "incidence", "from_deg": -0.0,
+                         "to_deg": 60.0, "steps": 3, "spacing": "log"}
+        assert errors_of(data) == [
+            "sweep.from_deg: must be > 0 for log spacing, got -0.0"]
+
     def test_bench_kinds_validated(self):
         data = minimal()
         data["bench"] = {"front_ends": ["convex", "prism"], "step_deg": 1.0}

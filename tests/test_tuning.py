@@ -506,6 +506,22 @@ class TestClosedFormMetaLens:
         assert v == pytest.approx(
             bisected_drive(act, "pd_landing", value, None, w), rel=1e-9)
 
+    def test_slack_is_relative_for_tiny_targets(self):
+        """A landing of 1e-60 mm is 14 decades below what a 1e-45 mm deep
+        slab reaches: it is infeasible, not met at a drive end."""
+        base = geom(slit=4.0, depth=1e-45, pd=1.0, n=1.5)
+        act = metalens(stretch_max=1.5, base=base)
+        w = wave(inc=30.0)
+        with pytest.raises(Infeasible) as exc_info:
+            solve(DesignTarget("pd_landing", 1e-60, w, None, "voltage"), act)
+        lo, hi = exc_info.value.achievable
+        assert lo == pytest.approx(1.90776871e-46, rel=1e-8)
+        assert hi == pytest.approx(4.6951295e-46, rel=1e-8)
+        v, achieved = solve(DesignTarget("pd_landing", 3e-46, w, None,
+                                         "voltage"), act)
+        assert v == pytest.approx(442.42, abs=0.01)
+        assert achieved == pytest.approx(3e-46, rel=1e-12)
+
 
 class TestDesignTarget:
     def test_validation(self):
