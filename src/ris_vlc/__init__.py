@@ -13,7 +13,6 @@ from .radiometry import TransmittanceResult, transmittance
 from .tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                      MetaLensActuator, OutOfMaterialRange, actuator_preset,
                      drive_map, lc_apply, metalens_apply, solve,
-                     solve_depth_for_spot, solve_index_for_angle,
                      solve_voltage)
 from .bench import (FrontEndSummary, ReceiverFrontEnd, RotationSweepResult,
                     compare_table, default_front_end, format_table,

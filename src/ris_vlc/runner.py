@@ -103,6 +103,9 @@ def _write_profile(fh, positions, members) -> float:
 
 
 def _write_csv(path: str | Path, header: list[str], lines: Iterable[str]) -> None:
+    """Write the file, creating its directory first: every run writes its
+    first artifact here, so a run that fails before it writes nothing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
@@ -184,18 +187,11 @@ def _run_eval(sc: Scenario, out_dir: Path, stages: dict
     clock = time.perf_counter
     start = clock()
     values, _ = _metric_values(sc.geometry, sc.wave)
-    stages.update(sample=clock() - start, format=0.0)
-    start = clock()
-    summary = out_dir / f"{sc.name}_summary.csv"
-    _write_csv(summary, _METRIC_COLUMNS, [_template(len(values)) % tuple(values)])
-    artifacts = [(summary, f"{summary.name}: 1 row")]
-    stages["write"] = clock() - start
+    # Every member is sampled before the first file is opened, so a member
+    # that raises leaves no file behind.
+    members = []
     if sc.profile is not None:
-        # Every member is sampled before the file is opened, so a member
-        # that raises leaves no partial profile behind.
-        start = clock()
         key, curve_values = sc.profile.curves or (None, (None,))
-        members = []
         for cv in curve_values:
             geom, wave, prefix = sc.geometry, sc.wave, ""
             if cv is not None:
@@ -203,18 +199,21 @@ def _run_eval(sc: Scenario, out_dir: Path, stages: dict
                 prefix = _CELL % cv + ","
             prof = profile_on_pd(geom, wave, sc.profile.samples)
             members.append((prefix, prof.relative_intensity))
-        # No curve key sets pd_length_mm, so every member has these.
-        positions = prof.positions_mm
-        stages["sample"] += clock() - start
-        start = clock()
+    stages.update(sample=clock() - start, format=0.0)
+    start = clock()
+    summary = out_dir / f"{sc.name}_summary.csv"
+    _write_csv(summary, _METRIC_COLUMNS, [_template(len(values)) % tuple(values)])
+    artifacts = [(summary, f"{summary.name}: 1 row")]
+    if sc.profile is not None:
         header = ([key] if key else []) + ["position_mm", "relative_intensity"]
         path = out_dir / f"{sc.name}_profile.csv"
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
-            stages["format"] = _write_profile(fh, positions, members)
-        stages["write"] += clock() - start - stages["format"]
+            # No curve key sets pd_length_mm, so every member has these.
+            stages["format"] = _write_profile(fh, prof.positions_mm, members)
         rows = len(members) * sc.profile.samples
         artifacts.append((path, f"{path.name}: {rows} rows"))
+    stages["write"] = clock() - start - stages["format"]
     return artifacts
 
 
@@ -257,7 +256,8 @@ _WARNING_REGISTRY: dict = {}
 
 
 def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunReport:
-    """Execute a scenario and write its artifacts into ``out_dir``.
+    """Execute a scenario and write its artifacts into ``out_dir``, which
+    is created with the first of them: a run that raises writes nothing.
 
     Returns the artifact paths and one summary line per artifact; the
     summary lines are also printed unless ``quiet``.  Every warning
@@ -267,7 +267,6 @@ def run(scenario: Scenario, out_dir: str | Path, *, quiet: bool = False) -> RunR
     ``_run_bench``).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mode = scenario.mode
     stages: dict = {}
     try:

@@ -18,8 +18,10 @@ Every inverse solve is closed form: the index and the depth directly,
 a liquid-crystal drive through a slab index (the index ramp is linear in
 the drive), a meta-lens drive through its stretch (exactly for an angle,
 by a safeguarded Newton iteration to adjacent floats for a landing or a
-spot width).  ``solve`` is the one design solve: it picks the solver for
-a target's free variable and reports the metric the solved slab achieves.
+spot width).  The index solve and the liquid-crystal drive share one
+index inversion, ``_index_for``.  ``solve`` is the one design solve, and
+the only index and depth solve: it picks the solver for a target's free
+variable and reports the metric the solved slab achieves.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Union
 from .diffraction import (first_null_angle, medium_wavelength_nm,
                           steering_offset_mm)
 from .optics import (BOUNDS as OPTICS_BOUNDS, INDEX_RANGE, NON_NEGATIVE,
-                     POSITIVE, Angle, Bound, IncidentWave, SteeringGeometry,
+                     POSITIVE, Bound, IncidentWave, SteeringGeometry,
                      check_fields, grating_term, interval, refraction_angle,
                      steering_sine)
 
@@ -46,8 +48,6 @@ __all__ = [
     "metalens_apply",
     "lc_apply",
     "drive_map",
-    "solve_index_for_angle",
-    "solve_depth_for_spot",
     "solve_voltage",
     "solve",
     "actuator_preset",
@@ -226,61 +226,6 @@ def drive_map(
             actuator.v_on_v, actuator.v_sat_v)
 
 
-def _index_for_sine(wave: IncidentWave, slit_um: float, sin_out: float,
-                    n_air: float) -> float:
-    """Slab index that steers ``wave`` to the angle whose sine is
-    ``sin_out``: n_ris sin(theta_out) is symmetric in its two factors, so
-    the steering sine with the two swapped gives n_ris."""
-    grating = grating_term(wave.order, wave.wavelength.nanometres, slit_um)
-    return steering_sine(n_air, math.sin(wave.incidence.radians), grating,
-                         sin_out)
-
-
-def solve_index_for_angle(
-    wave: IncidentWave,
-    slit_um: float,
-    theta_target: Angle,
-    *,
-    n_air: float = 1.0,
-) -> float:
-    """Slab index that steers ``wave`` to ``theta_target`` (closed form).
-
-    Raises:
-        OutOfMaterialRange: the required index falls outside the physical
-            material band.
-    """
-    _TARGET_ANGLE.check("theta_target", theta_target.degrees)
-    OPTICS_BOUNDS["slit_um"].check("slit_um", slit_um)
-    n = _index_for_sine(wave, slit_um, math.sin(theta_target.radians), n_air)
-    if not OPTICS_BOUNDS["n_ris"].ok(n):
-        lo, hi = INDEX_RANGE
-        raise OutOfMaterialRange(
-            f"required index {n:.6g} outside the material band ({lo}, {hi}]")
-    return n
-
-
-def solve_depth_for_spot(
-    slit_um: float,
-    n_ris: float,
-    wave: IncidentWave,
-    spot_target_mm: float,
-    *,
-    n_air: float = 1.0,
-) -> float:
-    """Slab depth whose central lobe has the target full width (closed
-    form); propagates NullBeyondHorizon when no first null exists, and
-    raises OutOfMaterialRange when the depth overflows or underflows."""
-    POSITIVE.check("spot_target_mm", spot_target_mm)
-    probe = SteeringGeometry(slit_um=slit_um, depth_mm=1.0, pd_length_mm=1.0,
-                             n_ris=n_ris, n_air=n_air)
-    null = first_null_angle(probe, wave)
-    depth = spot_target_mm / (2.0 * math.tan(null.radians))
-    if not OPTICS_BOUNDS["depth_mm"].ok(depth):
-        raise OutOfMaterialRange(
-            f"required depth {depth:.6g} mm is not finite and > 0")
-    return depth
-
-
 def _evaluate_metric(kind: str, geom: SteeringGeometry, wave: IncidentWave) -> float:
     if kind == "refraction_angle":
         return refraction_angle(geom, wave).degrees
@@ -289,23 +234,33 @@ def _evaluate_metric(kind: str, geom: SteeringGeometry, wave: IncidentWave) -> f
     return steering_offset_mm(geom, wave)
 
 
-def _lc_drive(act: LiquidCrystalActuator, kind: str, value: float,
-              geom: SteeringGeometry, wave: IncidentWave) -> float:
-    """Drive at which the liquid-crystal cell over ``geom`` meets the
-    target metric ``value`` (closed form).
+def _index_for(kind: str, value: float, geom: SteeringGeometry,
+               wave: IncidentWave) -> float:
+    """Slab index at which ``geom`` meets the target metric ``value`` of
+    ``kind`` (closed form).
 
-    Each target kind inverts to a slab index: the refraction angle
-    directly, the landing L through theta = atan(L / y), the spot width W
-    through n = lambda / (a sin(atan(W / 2y))).  The linear index ramp
-    then inverts to the drive, clamped to [v_on, v_sat].
+    n_ris sin(theta) is symmetric in its two factors, so the steering
+    sine with the two swapped gives the index for a refraction angle
+    theta; a landing L gives theta = atan(L / y).  A spot width W gives
+    n = lambda / (a sin(atan(W / 2y))).
     """
     if kind == "spot_width":
         sin_null = math.sin(math.atan(value / (2.0 * geom.depth_mm)))
-        n = wave.wavelength.nanometres / (geom.slit_um * 1e3 * sin_null)
-    else:
-        theta = (math.radians(value) if kind == "refraction_angle"
-                 else math.atan(value / geom.depth_mm))
-        n = _index_for_sine(wave, geom.slit_um, math.sin(theta), geom.n_air)
+        return wave.wavelength.nanometres / (geom.slit_um * 1e3 * sin_null)
+    theta = (math.radians(value) if kind == "refraction_angle"
+             else math.atan(value / geom.depth_mm))
+    grating = grating_term(wave.order, wave.wavelength.nanometres, geom.slit_um)
+    return steering_sine(geom.n_air, math.sin(wave.incidence.radians), grating,
+                         math.sin(theta))
+
+
+def _lc_drive(act: LiquidCrystalActuator, kind: str, value: float,
+              geom: SteeringGeometry, wave: IncidentWave) -> float:
+    """Drive at which the liquid-crystal cell over ``geom`` meets the
+    target metric ``value`` (closed form): the inverse of the linear
+    index ramp at the index ``_index_for`` gives, clamped to
+    [v_on, v_sat]."""
+    n = _index_for(kind, value, geom, wave)
     level = (n - act.n_base) / act.delta_n
     v = act.v_on_v + level * (act.v_sat_v - act.v_on_v)
     return min(max(v, act.v_on_v), act.v_sat_v)
@@ -397,16 +352,31 @@ def solve(target: DesignTarget,
           actuator: Actuator | None = None) -> tuple[float, float]:
     """(solved, achieved): the value of the target's free variable that
     meets it, and the target metric of the slab it gives.  A voltage
-    solve drives ``actuator`` over the target's geometry."""
+    solve drives ``actuator`` over the target's geometry.
+
+    The index and the depth are closed form: the index from
+    ``_index_for``, the depth that puts the first null at half the
+    spot width W from y = W / (2 tan(theta_null)).
+
+    Raises:
+        OutOfMaterialRange: the solved index falls outside the material
+            band, or the solved depth is not finite and > 0.
+        NullBeyondHorizon: a depth solve on a slab with no first null.
+    """
     geom, wave = target.geometry, target.wave
     if target.free == "n_ris":
-        solved = solve_index_for_angle(wave, geom.slit_um,
-                                       Angle.from_degrees(target.value),
-                                       n_air=geom.n_air)
+        solved = _index_for(target.kind, target.value, geom, wave)
+        if not OPTICS_BOUNDS["n_ris"].ok(solved):
+            lo, hi = INDEX_RANGE
+            raise OutOfMaterialRange(f"required index {solved:.6g} outside "
+                                     f"the material band ({lo}, {hi}]")
         state = replace(geom, n_ris=solved)
     elif target.free == "depth":
-        solved = solve_depth_for_spot(geom.slit_um, geom.n_ris, wave,
-                                      target.value, n_air=geom.n_air)
+        null = first_null_angle(geom, wave)
+        solved = target.value / (2.0 * math.tan(null.radians))
+        if not OPTICS_BOUNDS["depth_mm"].ok(solved):
+            raise OutOfMaterialRange(
+                f"required depth {solved:.6g} mm is not finite and > 0")
         state = replace(geom, depth_mm=solved)
     else:
         solved = solve_voltage(target, actuator)

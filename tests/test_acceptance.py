@@ -22,8 +22,7 @@ from ris_vlc.runner import run
 from ris_vlc.scenario import scenario_from_dict
 from ris_vlc.tuning import (DesignTarget, LiquidCrystalActuator,
                             MetaLensActuator, lc_apply, metalens_apply,
-                            solve_depth_for_spot, solve_index_for_angle,
-                            solve_voltage)
+                            solve, solve_voltage)
 
 TAN_HORIZON = math.tan(math.radians(89.9))
 # numpy >= 2.0 spells it trapezoid, numpy 1.x trapz
@@ -245,7 +244,8 @@ def test_criterion_7_inverse_solver_round_trips():
             theta = refraction_angle(g, w)
         except EvanescentOrder:
             continue
-        n_hat = solve_index_for_angle(w, slit, theta)
+        n_hat, _ = solve(DesignTarget("refraction_angle", theta.degrees, w, g,
+                                      "n_ris"))
         back = refraction_angle(geom(slit=slit, n=n_hat), w)
         if abs(back.radians - theta.radians) > 1e-9:
             problems.append(f"index round trip off by "
@@ -261,7 +261,7 @@ def test_criterion_7_inverse_solver_round_trips():
         w = wave(lam, 0.0, order=0)
         g = SteeringGeometry(slit_um=slit, depth_mm=y0, pd_length_mm=1.0, n_ris=n)
         width = 2.0 * y0 * math.tan(first_null_angle(g, w).radians)
-        y_hat = solve_depth_for_spot(slit, n, w, width)
+        y_hat, _ = solve(DesignTarget("spot_width", width, w, g, "depth"))
         if abs(y_hat - y0) > 1e-9 * y0:
             problems.append(f"depth round trip {y0} -> {y_hat}")
 

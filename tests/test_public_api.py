@@ -8,12 +8,14 @@ from ris_vlc import cli
 MODULES = ("optics", "diffraction", "radiometry", "tuning", "bench",
            "scenario", "runner")
 
-# Public names deleted because nothing but their own tests called them;
-# README lists what replaces each.
+# Deleted public names: copies of a quantity that nothing but their own
+# tests called, and the index and depth solvers that were second entry
+# points beside ``tuning.solve``.  README lists what replaces each.
 REMOVED = {
     "optics": ("snell_angle", "TotalInternalReflection"),
     "diffraction": ("fraunhofer_relative_intensity",),
     "radiometry": ("tuning_gain", "TuningGain"),
+    "tuning": ("solve_index_for_angle", "solve_depth_for_spot"),
     "bench": ("detect",),
 }
 

@@ -344,10 +344,11 @@ class TestCli:
         data["design"] = {"kind": "refraction_angle", "value_deg": 85.0,
                           "free": "voltage"}
         path = write_scenario(tmp_path, data)
-        code = main(["design", "--scenario", str(path), "--out",
-                     str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main(["design", "--scenario", str(path), "--out", str(out)])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "Infeasible"
+        assert not out.exists()
 
     def test_evanescent_profile_member_leaves_no_profile(self, tmp_path,
                                                          capsys):
@@ -361,7 +362,8 @@ class TestCli:
         code = main(["eval", "--scenario", str(path), "--out", str(out)])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "EvanescentOrder"
-        assert not (out / "case_profile.csv").exists()
+        # the summary state and the 0 deg member propagate; nothing is kept
+        assert not out.exists()
 
     @pytest.mark.parametrize("curves, where", [
         ({"voltage_v": [1.0, 2.0]}, "requires an actuator"),
@@ -758,7 +760,7 @@ _PROFILES = st.fixed_dictionaries({"samples": st.integers(3, 50)},
        actuator=st.sampled_from(_ACTUATORS))
 def test_eval_profile_cli_contract(profile, slit, incidence, actuator):
     """Any profile block ends in a mapped exit code, a JSON record on
-    failure, and either a complete profile file or none."""
+    failure, and either a complete profile file or no output at all."""
     data = minimal()
     data["geometry"]["slit_um"] = slit
     data["wave"]["incidence_deg"] = incidence
@@ -776,7 +778,7 @@ def test_eval_profile_cli_contract(profile, slit, incidence, actuator):
         assert code in (0, 2, 3, 4)
         if code:
             assert "error" in json.loads(err.getvalue().splitlines()[-1])
-            assert not profile_csv.exists()
+            assert not out.exists()
         else:
             (values,) = profile.get("curves", {None: [None]}).values()
             members = len(values)
@@ -861,8 +863,7 @@ def _spot_width(value_mm):
 def test_scenario_cli_contract(mode, mutations, expect):
     """Any mode with mutated geometry, wave or actuator fields ends in a
     mapped exit code (``expect``, when given) and a JSON record on
-    failure; what it writes is whole, and a failed run writes nothing but
-    an evaluation's summary."""
+    failure; what it writes is whole, and a failed run writes nothing."""
     command, blocks = mode
     data = json.loads(json.dumps(minimal() | blocks))
     for (block, key), value in mutations:
@@ -878,9 +879,10 @@ def test_scenario_cli_contract(mode, mutations, expect):
         assert code in (0, 2, 3, 4)
         assert expect is None or code == expect
         written = {p.name: p.read_text() for p in out.glob("*")}
+        wrote = out.exists()
     if code:
         assert "error" in json.loads(err.getvalue().splitlines()[-1])
-        assert set(written) <= {"case_summary.csv"}
+        assert not wrote
     else:
         assert "case.meta.json" in written
     for name, text in written.items():

@@ -11,8 +11,7 @@ from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                             MetaLensActuator, OutOfMaterialRange,
                             actuator_preset, drive_map, lc_apply,
-                            metalens_apply, solve, solve_depth_for_spot,
-                            solve_index_for_angle, solve_voltage)
+                            metalens_apply, solve, solve_voltage)
 
 
 def geom(slit=100.0, depth=0.75, pd=1.0, n=1.508):
@@ -156,16 +155,29 @@ class TestPresets:
             actuator_preset("nope")
 
 
+def index_for(theta_deg, g=None, w=None):
+    """The index ``solve`` gives for a refraction-angle target."""
+    target = DesignTarget("refraction_angle", theta_deg, w or wave(),
+                          g or geom(), "n_ris")
+    return solve(target)[0]
+
+
+def depth_for(width, slit, n, w):
+    """The depth ``solve`` gives for a spot-width target."""
+    target = DesignTarget("spot_width", width, w, geom(slit=slit, n=n), "depth")
+    return solve(target)[0]
+
+
 class TestSolveIndex:
     def test_reference_design_point(self):
         # oracle: (sin 90 + 550e-3/100) / sin 41.82 deg
-        n = solve_index_for_angle(wave(), 100.0, Angle.from_degrees(41.82))
+        n = index_for(41.82)
         assert n == pytest.approx(1.5079650326461862, abs=1e-12)
 
     def test_round_trip(self):
         g = geom(n=1.72)
         theta = refraction_angle(g, wave())
-        n = solve_index_for_angle(wave(), g.slit_um, theta)
+        n = index_for(theta.degrees, g)
         assert n == pytest.approx(1.72, rel=1e-12)
         assert refraction_angle(geom(n=n), wave()).radians == \
             pytest.approx(theta.radians, abs=1e-9)
@@ -173,7 +185,7 @@ class TestSolveIndex:
     def test_limit_toward_grazing_target(self):
         # as the target approaches 90 deg the index tends to its floor
         floor = math.sin(math.radians(90)) + 550.0 / (100.0 * 1e3)
-        n = solve_index_for_angle(wave(), 100.0, Angle.from_degrees(89.999))
+        n = index_for(89.999)
         assert n == pytest.approx(floor, rel=1e-6)
 
     def test_strictly_decreasing_in_target(self):
@@ -181,21 +193,23 @@ class TestSolveIndex:
         ns = []
         for t in targets:
             try:
-                ns.append(solve_index_for_angle(wave(), 100.0,
-                                                Angle.from_degrees(t)))
+                ns.append(index_for(t))
             except OutOfMaterialRange:
                 ns.append(math.inf)
         assert all(b < a for a, b in zip(ns, ns[1:]))
 
     def test_out_of_material_range(self):
-        with pytest.raises(OutOfMaterialRange):
-            solve_index_for_angle(wave(), 100.0, Angle.from_degrees(20.0))
+        with pytest.raises(OutOfMaterialRange,
+                           match=r"required index 2\.\d+ outside the "
+                                 r"material band \(1\.0, 2\.5\]"):
+            index_for(20.0)
 
     def test_target_guards(self):
-        with pytest.raises(ValueError):
-            solve_index_for_angle(wave(), 100.0, Angle.from_degrees(0.0))
-        with pytest.raises(ValueError):
-            solve_index_for_angle(wave(), 100.0, Angle.from_degrees(90.0))
+        # DesignTarget rejects these before any solve
+        with pytest.raises(ValueError, match="must be positive, got 0.0"):
+            index_for(0.0)
+        with pytest.raises(ValueError, match="lie in \\(0, 90\\) deg"):
+            index_for(90.0)
 
 
 class TestSolveDepth:
@@ -203,24 +217,24 @@ class TestSolveDepth:
         g = geom(slit=4.0, n=1.5, depth=1.0)
         w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
         width = 2.0 * g.depth_mm * math.tan(first_null_angle(g, w).radians)
-        got = solve_depth_for_spot(4.0, 1.5, w, width)
+        got = depth_for(width, 4.0, 1.5, w)
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_value(self):
         w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
-        y = solve_depth_for_spot(4.0, 1.5, w, 0.184)
+        y = depth_for(0.184, 4.0, 1.5, w)
         assert y == pytest.approx(0.9994108016292514, abs=1e-12)
 
     def test_linearity(self):
         w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
-        y1 = solve_depth_for_spot(4.0, 1.5, w, 0.1)
-        y2 = solve_depth_for_spot(4.0, 1.5, w, 0.2)
+        y1 = depth_for(0.1, 4.0, 1.5, w)
+        y2 = depth_for(0.2, 4.0, 1.5, w)
         assert y2 == pytest.approx(2 * y1, rel=1e-12)
 
     def test_no_null_propagates(self):
         w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
         with pytest.raises(NullBeyondHorizon):
-            solve_depth_for_spot(0.3, 1.2, w, 0.1)
+            depth_for(0.1, 0.3, 1.2, w)
 
     @pytest.mark.parametrize("slit, inc, order, target, depth", [
         (4.0, 10.0, 1, 1e308, "inf"), (0.37, 0.0, 0, 5e-324, "0")])
@@ -229,8 +243,9 @@ class TestSolveDepth:
         w = IncidentWave(Wavelength(550), Angle.from_degrees(inc),
                          order=order)
         with pytest.raises(OutOfMaterialRange,
-                           match=f"required depth {depth} mm"):
-            solve_depth_for_spot(slit, 1.5, w, target)
+                           match=f"required depth {depth} mm is not finite "
+                                 f"and > 0"):
+            depth_for(target, slit, 1.5, w)
 
 
 class TestSolveVoltage:
@@ -557,3 +572,39 @@ class TestSolve:
         target = DesignTarget(kind, value, wave(inc=80.0), geom(), free)
         _, achieved = solve(target, actuator)
         assert achieved == pytest.approx(value, rel=1e-6)
+
+
+class TestAirIndexAboveOne:
+    """Solves in air of index 1.0007, which reaches the index inversion
+    only through the target's geometry."""
+
+    def test_index_round_trip(self, monkeypatch):
+        g, w = replace(geom(n=1.72), n_air=1.0007), wave(inc=60.0)
+        theta = refraction_angle(g, w)
+        calls = counting(monkeypatch, "_index_for")
+        n = index_for(theta.degrees, g, w)
+        assert [c[2].n_air for c in calls] == [1.0007]
+        assert n == pytest.approx(1.72, rel=1e-12)
+        assert n != index_for(theta.degrees, replace(g, n_air=1.0), w)
+        assert refraction_angle(replace(g, n_ris=n), w).radians == \
+            pytest.approx(theta.radians, abs=1e-9)
+
+    def test_depth_round_trip(self):
+        g = replace(geom(slit=4.0, n=1.5, depth=1.0), n_air=1.0007)
+        w = wave(inc=30.0)
+        width = 2.0 * g.depth_mm * math.tan(first_null_angle(g, w).radians)
+        y, achieved = solve(DesignTarget("spot_width", width, w, g, "depth"))
+        assert y == pytest.approx(1.0, rel=1e-12)
+        assert achieved == pytest.approx(width, rel=1e-12)
+
+    def test_lc_angle_drive_round_trip(self, monkeypatch):
+        act = LiquidCrystalActuator(n_base=1.508, delta_n=0.392)
+        base, w = replace(geom(), n_air=1.0007), wave(inc=60.0)
+        theta = refraction_angle(lc_apply(act, 4.2, base), w)
+        target = DesignTarget("refraction_angle", theta.degrees, w, base,
+                              "voltage")
+        calls = counting(monkeypatch, "_index_for")
+        v, achieved = solve(target, act)
+        assert [c[2].n_air for c in calls] == [1.0007]
+        assert v == pytest.approx(4.2, rel=1e-12)
+        assert achieved == pytest.approx(theta.degrees, rel=1e-12)
