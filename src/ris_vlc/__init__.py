@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 
 from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
                      Wavelength, refraction_angle)
-from .diffraction import (IntensityProfile, NullBeyondHorizon, SpotReport,
-                          first_null_angle, medium_wavelength_nm,
-                          pattern_power_fraction, profile_on_pd, spot_report,
+from .diffraction import (IntensityProfile, Metrics, NullBeyondHorizon,
+                          evaluate, first_null_angle, medium_wavelength_nm,
+                          pattern_power_fraction, profile_on_pd,
                           steering_offset_mm)
-from .radiometry import TransmittanceResult, transmittance
 from .tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                      MetaLensActuator, OutOfMaterialRange, actuator_preset,
                      drive_map, lc_apply, metalens_apply, solve,

@@ -22,8 +22,7 @@ from pathlib import Path
 from .optics import (POSITIVE, Angle, EvanescentOrder, IncidentWave,
                      SteeringGeometry, Wavelength, grating_term, interval,
                      steering_sine)
-from .radiometry import _incidence_factor, transmittance
-from .diffraction import pattern_power_fraction
+from .diffraction import _incidence_factor, pattern_power_fraction
 from .tuning import (Actuator, DesignTarget, Infeasible, MetaLensActuator,
                      actuator_preset, drive_map, solve_voltage)
 
@@ -188,9 +187,9 @@ class _Detector:
     rotation is not checked again here.
 
     A rotation is evaluated in plain floats, by the operations of
-    ``refraction_angle``, ``steering_offset_mm`` and ``transmittance``
-    in their order, so their values agree bit for bit.  Only where the
-    rest slab misses the detector is a drive solved.
+    ``refraction_angle``, ``steering_offset_mm`` and ``evaluate``'s
+    transmittance in their order, so their values agree bit for bit.
+    Only where the rest slab misses the detector is a drive solved.
     """
 
     def __init__(self, fe: ReceiverFrontEnd) -> None:
@@ -226,19 +225,20 @@ class _Detector:
             return (False, 0.0)  # the first order is evanescent
         if full.depth_mm * math.tan(math.asin(sine_full)) > half + 1e-12:
             return (False, 0.0)  # not steerable onto the detector
+        factor = _incidence_factor(rad)
         if rest.depth_mm * math.tan(math.asin(sine_rest)) > half:
             wave = IncidentWave(self.wavelength, Angle(rad), order=1)
             target = DesignTarget("pd_landing", half, wave, self.fe.geometry,
                                   "voltage")
             try:
                 state = self.apply(solve_voltage(target, self.fe.actuator))
-                return (True, transmittance(state, wave).value)
             except (EvanescentOrder, Infeasible):
                 return (False, 0.0)
+            return (True, 0.0 if factor == 0.0 else
+                    factor * pattern_power_fraction(state, wave, half))
         if self.rest_capture is None:
             wave = IncidentWave(self.wavelength, Angle(rad), order=1)
             self.rest_capture = pattern_power_fraction(rest, wave, half)
-        factor = _incidence_factor(rad)
         return (True, 0.0 if factor == 0.0 else factor * self.rest_capture)
 
 

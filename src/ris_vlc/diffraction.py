@@ -25,6 +25,11 @@ checked per call.  Both integrals are evaluated in closed form,
 with the sine integral Si computed by its power series for small
 arguments and by the continued fraction of E1(ix) otherwise.
 
+``evaluate`` gives the metric row of a slab state, which ends in the
+transmittance T = cos(theta_in) * capture_fraction(pd_length / 2): the cos
+factor is the whole incidence penalty, exactly 0 at grazing incidence.  A
+sweep's tuning gain is T of the swept slab minus T of its baseline.
+
 Everything here is scalar ``math`` except detector-profile sampling,
 which imports numpy when a profile is first sampled, so that sweeps,
 designs and the bench start without loading numpy.
@@ -36,7 +41,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .optics import Angle, Bound, IncidentWave, SteeringGeometry, refraction_angle
 
@@ -46,12 +51,12 @@ if TYPE_CHECKING:
 __all__ = [
     "NullBeyondHorizon",
     "IntensityProfile",
-    "SpotReport",
+    "Metrics",
     "medium_wavelength_nm",
     "steering_offset_mm",
     "first_null_angle",
     "profile_on_pd",
-    "spot_report",
+    "evaluate",
     "pattern_power_fraction",
 ]
 
@@ -99,26 +104,18 @@ class IntensityProfile:
             raise ValueError("relative intensity must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SpotReport:
-    """Central-lobe geometry on the detector plane.
+class Metrics(NamedTuple):
+    """The metric row of a slab state, one field per CSV column; with no
+    first null (the lobe fills the half-space) it is at 90 deg and the
+    width is +inf."""
 
-    ``full_width_mm`` is +inf and ``first_null_angle`` 90 deg when the
-    first null does not exist (the lobe fills the half-space);
-    ``pd_coverage`` is still computed then.  ``steering_angle`` is the
-    refraction angle of the pattern centre.
-    """
-
+    refraction_angle_deg: float
+    first_null_angle_deg: float
     full_width_mm: float
-    first_null_angle: Angle
     pd_coverage: float
-    steering_angle: Angle
-
-    def __post_init__(self) -> None:
-        if not self.full_width_mm > 0:
-            raise ValueError(f"full width must be > 0, got {self.full_width_mm}")
-        if not 0.0 <= self.pd_coverage <= 1.0:
-            raise ValueError(f"pd_coverage must lie in [0, 1], got {self.pd_coverage}")
+    transmittance: float
+    incidence_factor: float
+    captured_power_w: float
 
 
 def medium_wavelength_nm(geom: SteeringGeometry, wave: IncidentWave) -> float:
@@ -158,9 +155,12 @@ def profile_on_pd(
     BOUNDS["samples"].check("samples", samples)
     centre = steering_offset_mm(geom, wave)
     lam_m = medium_wavelength_nm(geom, wave)
-    u = np.linspace(-geom.pd_length_mm / 2, geom.pd_length_mm / 2, samples)
-    theta = np.arctan((u - centre) / geom.depth_mm)
-    intensity = np.sinc(geom.slit_um * 1e3 / lam_m * np.sin(theta)) ** 2
+    # Overflows go to +-inf (atan +-pi/2) or to linspace's last point.
+    with np.errstate(over="ignore"):
+        u = np.linspace(-geom.pd_length_mm / 2, geom.pd_length_mm / 2, samples)
+        theta = np.arctan((u - centre) / geom.depth_mm)
+    k = min(geom.slit_um * 1e3 / lam_m, sys.float_info.max / 4)  # pi k finite
+    intensity = np.sinc(k * np.sin(theta)) ** 2
     return IntensityProfile(
         positions_mm=u,
         relative_intensity=intensity,
@@ -169,19 +169,29 @@ def profile_on_pd(
     )
 
 
-def spot_report(geom: SteeringGeometry, wave: IncidentWave) -> SpotReport:
-    """Central-lobe width, first-null angle, detector coverage and
-    steering angle."""
-    theta = refraction_angle(geom, wave)  # configured order must propagate
+def _incidence_factor(incidence_rad: float) -> float:
+    """cos(theta_in), exactly 0 at grazing incidence (not ~6e-17)."""
+    if incidence_rad >= math.pi / 2:
+        return 0.0
+    return math.cos(incidence_rad)
+
+
+def evaluate(geom: SteeringGeometry, wave: IncidentWave) -> Metrics:
+    """The metric row of the slab state; ``EvanescentOrder`` if the
+    configured order does not propagate."""
+    theta = refraction_angle(geom, wave)
     try:
         null = first_null_angle(geom, wave)
-        width = 2.0 * geom.depth_mm * math.tan(null.radians)
+        # (2 y) tan to the bit above the subnormals, and 2 y cannot overflow
+        width = 2.0 * (geom.depth_mm * math.tan(null.radians))
     except NullBeyondHorizon:
         null = Angle(math.pi / 2)
         width = math.inf
     coverage = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
-    return SpotReport(full_width_mm=width, first_null_angle=null,
-                      pd_coverage=coverage, steering_angle=theta)
+    factor = _incidence_factor(wave.incidence.radians)
+    value = 0.0 if factor == 0.0 else factor * coverage
+    return Metrics(theta.degrees, null.degrees, width, coverage, value,
+                   factor, value * wave.power_w)
 
 
 # Si(x) switches from its power series to the continued fraction of
@@ -224,11 +234,17 @@ def _sine_integral(x: float) -> float:
 
 
 def _half_capture(t: float) -> float:
-    """integral_0^t sinc^2 = [Si(2 pi t) - sin^2(pi t) / (pi t)] / pi."""
+    """integral_0^t sinc^2 = [Si(2 pi t) - sin^2(pi t) / (pi t)] / pi, or its
+    limit: 1/2 where 2 pi t overflows, t where sin^2(pi t) underflows."""
     if t <= 0.0:
         return 0.0
     pt = math.pi * t
-    return (_sine_integral(2.0 * pt) - math.sin(pt) ** 2 / pt) / math.pi
+    if 2.0 * pt == math.inf:
+        return 0.5
+    sin2 = math.sin(pt) ** 2
+    if sin2 < sys.float_info.min:
+        return t
+    return (_sine_integral(2.0 * pt) - sin2 / pt) / math.pi
 
 
 def pattern_power_fraction(
@@ -248,14 +264,28 @@ def pattern_power_fraction(
         raise ValueError(
             f"window_halfwidth_mm must be > 0, got {window_halfwidth_mm}")
     lam_m_mm = medium_wavelength_nm(geom, wave) * 1e-6
-    scale = lam_m_mm * geom.depth_mm / (geom.slit_um * 1e-3)  # first-null distance
-    t_max = _TAN_HORIZON * geom.depth_mm / scale
+    slit_mm = geom.slit_um * 1e-3
+    # First-null distance and horizon t_max = tan(horizon) a / lambda_m,
+    # taken without the depth where a step with it under- or overflows.
+    scale = lam_m_mm * geom.depth_mm / slit_mm if slit_mm else math.inf
+    t_max = _TAN_HORIZON * geom.depth_mm / scale if scale else math.inf
+    if not sys.float_info.min <= t_max < math.inf:
+        t_max = _TAN_HORIZON * geom.slit_um / (lam_m_mm * 1e3)
     tail_bound = 1.0 / (math.pi ** 2 * t_max)
     if tail_bound > _TAIL_WARN:
         warnings.warn(
             f"normalisation tail beyond the 89.9 deg horizon bounded by "
             f"{tail_bound:.2e} of total power", stacklevel=2)
-    t_win = min(window_halfwidth_mm / scale, t_max)
+    if scale == math.inf or t_max < sys.float_info.min:
+        # t_win / t_max is the window's share of the horizon, and the
+        # capture where sinc^2 is flat out to the horizon
+        share = window_halfwidth_mm / geom.depth_mm / _TAN_HORIZON
+        if t_max < sys.float_info.min:
+            return min(share, 1.0)
+        t_win = min(t_max * share, t_max)
+    else:
+        # A first-null distance that underflows to 0 puts all power inside.
+        t_win = min(window_halfwidth_mm / scale, t_max) if scale else t_max
     numerator = _half_capture(t_win)
     denominator = _half_capture(t_max)
     return min(max(numerator / denominator, 0.0), 1.0)

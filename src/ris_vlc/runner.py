@@ -24,10 +24,9 @@ from typing import Iterable
 
 from . import __version__
 from .bench import compare_table, default_front_end, format_table, table_to_csv
-from .diffraction import profile_on_pd, spot_report
+from .diffraction import Metrics, evaluate, profile_on_pd
 from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
                      Wavelength)
-from .radiometry import TransmittanceResult, transmittance
 from .scenario import _PARAM_FIELD, Scenario, SweepSpec, load_scenario
 from .tuning import Actuator, drive_map, solve
 
@@ -35,10 +34,6 @@ __all__ = ["RunReport", "run", "run_bundled", "bundled_scenario_names",
            "bundled_scenario_path"]
 
 _ROW_ERRORS = (EvanescentOrder, ValueError)
-
-_METRIC_COLUMNS = ["refraction_angle_deg", "first_null_angle_deg",
-                   "full_width_mm", "pd_coverage", "transmittance",
-                   "incidence_factor", "captured_power_w"]
 
 
 @dataclass(frozen=True)
@@ -126,15 +121,6 @@ def _apply_override(key: str, value: float, geom: SteeringGeometry,
     return replace(geom, **{key: value}), wave
 
 
-def _metric_values(geom: SteeringGeometry, wave: IncidentWave
-                   ) -> tuple[list[float], TransmittanceResult]:
-    spot = spot_report(geom, wave)
-    tr = transmittance(geom, wave, capture=spot.pd_coverage)
-    return [spot.steering_angle.degrees, spot.first_null_angle.degrees,
-            spot.full_width_mm, spot.pd_coverage, tr.value,
-            tr.incidence_factor, tr.captured_power_w], tr
-
-
 def _sweep_grid(spec: SweepSpec) -> list[float]:
     n = spec.steps
     if spec.spacing == "log":
@@ -151,7 +137,8 @@ def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
     key = _PARAM_FIELD[spec.parameter]
 
     header = ([curve_key] if curve_key else []) + [key]
-    header += _METRIC_COLUMNS + (["tuning_gain"] if spec.baseline else []) + ["error"]
+    header += [*Metrics._fields, *(["tuning_gain"] if spec.baseline else []),
+               "error"]
 
     lines: list[str] = []
     n_err = 0
@@ -163,11 +150,12 @@ def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
                 if cv is not None:
                     geom, wave = _apply_override(curve_key, cv, geom, wave, sc.actuator)
                 geom, wave = _apply_override(key, pv, geom, wave, sc.actuator)
-                values, tr = _metric_values(geom, wave)
+                m = evaluate(geom, wave)
+                row = lead + list(m)
                 if spec.baseline is not None:
-                    base_geom = replace(geom, **dict(spec.baseline))
-                    values.append(tr.value - transmittance(base_geom, wave).value)
-                row = lead + values
+                    base = replace(geom, **dict(spec.baseline))
+                    row.append(m.transmittance
+                               - evaluate(base, wave).transmittance)
                 lines.append(_template(len(row), suffix=",") % tuple(row))
             except _ROW_ERRORS as exc:
                 n_err += 1
@@ -186,7 +174,7 @@ def _run_eval(sc: Scenario, out_dir: Path, stages: dict
     the profile rows, and writing (the summary row and the files)."""
     clock = time.perf_counter
     start = clock()
-    values, _ = _metric_values(sc.geometry, sc.wave)
+    values = evaluate(sc.geometry, sc.wave)
     # Every member is sampled before the first file is opened, so a member
     # that raises leaves no file behind.
     members = []
@@ -202,7 +190,7 @@ def _run_eval(sc: Scenario, out_dir: Path, stages: dict
     stages.update(sample=clock() - start, format=0.0)
     start = clock()
     summary = out_dir / f"{sc.name}_summary.csv"
-    _write_csv(summary, _METRIC_COLUMNS, [_template(len(values)) % tuple(values)])
+    _write_csv(summary, list(Metrics._fields), [_template(len(values)) % values])
     artifacts = [(summary, f"{summary.name}: 1 row")]
     if sc.profile is not None:
         header = ([key] if key else []) + ["position_mm", "relative_intensity"]

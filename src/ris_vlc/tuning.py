@@ -230,7 +230,7 @@ def _evaluate_metric(kind: str, geom: SteeringGeometry, wave: IncidentWave) -> f
     if kind == "refraction_angle":
         return refraction_angle(geom, wave).degrees
     if kind == "spot_width":
-        return 2.0 * geom.depth_mm * math.tan(first_null_angle(geom, wave).radians)
+        return 2.0 * (geom.depth_mm * math.tan(first_null_angle(geom, wave).radians))
     return steering_offset_mm(geom, wave)
 
 
@@ -372,8 +372,9 @@ def solve(target: DesignTarget,
                                      f"the material band ({lo}, {hi}]")
         state = replace(geom, n_ris=solved)
     elif target.free == "depth":
-        null = first_null_angle(geom, wave)
-        solved = target.value / (2.0 * math.tan(null.radians))
+        # a null on the axis (tan 0) reaches the width at no finite depth
+        tan = math.tan(first_null_angle(geom, wave).radians)
+        solved = target.value / (2.0 * tan) if tan else math.inf
         if not OPTICS_BOUNDS["depth_mm"].ok(solved):
             raise OutOfMaterialRange(
                 f"required depth {solved:.6g} mm is not finite and > 0")

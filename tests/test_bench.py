@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from ris_vlc.bench import (KINDS, RIS_KINDS, ReceiverFrontEnd,
                            compare_table, default_front_end, format_table,
                            rotation_sweep, table_to_csv)
-from ris_vlc.diffraction import steering_offset_mm
+from ris_vlc.diffraction import evaluate, steering_offset_mm
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, Wavelength)
-from ris_vlc.radiometry import transmittance
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                             MetaLensActuator, drive_map, solve_voltage)
 
@@ -222,7 +221,7 @@ def object_model_detect(fe, angle_deg):
     """(detected, intensity) at one rotation, computed through the value
     objects: an Angle, an IncidentWave, the landings of the rest and
     full-drive slabs, a voltage solve where the rest slab misses the
-    detector, and the transmittance of the slab that lands."""
+    detector, and ``evaluate``'s transmittance of the slab that lands."""
     rotation = Angle.from_degrees(angle_deg)
     deg = rotation.degrees
     if deg > fe.max_incidence.degrees + 1e-9:
@@ -245,8 +244,8 @@ def object_model_detect(fe, angle_deg):
             target = DesignTarget("pd_landing", half, wave, fe.geometry,
                                   "voltage")
             state = apply(solve_voltage(target, fe.actuator))
-            return (True, transmittance(state, wave).value)
-        return (True, transmittance(rest, wave).value)
+            return (True, evaluate(state, wave).transmittance)
+        return (True, evaluate(rest, wave).transmittance)
     except (EvanescentOrder, Infeasible):
         return (False, 0.0)
 

@@ -3,16 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import sici
 
 from ris_vlc.diffraction import (IntensityProfile, NullBeyondHorizon,
-                                 _half_capture, first_null_angle,
+                                 _half_capture, evaluate, first_null_angle,
                                  medium_wavelength_nm, pattern_power_fraction,
-                                 profile_on_pd, spot_report, steering_offset_mm)
+                                 profile_on_pd, steering_offset_mm)
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry, Wavelength)
 from ris_vlc.runner import run
@@ -135,44 +137,44 @@ class TestProfile:
 class TestSpotReport:
     def test_reference_width(self):
         # oracle: 2 * y * tan(asin(lambda_m / a)), lambda_m = 550 / 1.5
-        report = spot_report(geom(depth=1.0), wave())
-        assert report.first_null_angle.degrees == \
+        report = evaluate(geom(depth=1.0), wave())
+        assert report.first_null_angle_deg == \
             pytest.approx(5.259496464414606, abs=1e-12)
         assert report.full_width_mm == \
             pytest.approx(0.18410847641434433, abs=1e-15)
 
     def test_width_scales_with_depth(self):
-        w_1 = spot_report(geom(depth=1.0), wave()).full_width_mm
-        w_075 = spot_report(geom(depth=0.75), wave()).full_width_mm
-        w_2 = spot_report(geom(depth=2.0), wave()).full_width_mm
+        w_1 = evaluate(geom(depth=1.0), wave()).full_width_mm
+        w_075 = evaluate(geom(depth=0.75), wave()).full_width_mm
+        w_2 = evaluate(geom(depth=2.0), wave()).full_width_mm
         assert w_075 == pytest.approx(0.13808135731075824, abs=1e-15)
         assert w_2 == pytest.approx(2 * w_1, rel=1e-12)
         # width / depth is depth-independent
         assert w_075 / 0.75 == pytest.approx(w_1 / 1.0, rel=1e-12)
 
     def test_wider_slit_shrinks_spot(self):
-        w_1 = spot_report(geom(slit=4.0), wave()).full_width_mm
-        w_10 = spot_report(geom(slit=40.0), wave()).full_width_mm
+        w_1 = evaluate(geom(slit=4.0), wave()).full_width_mm
+        w_10 = evaluate(geom(slit=40.0), wave()).full_width_mm
         assert w_1 / w_10 == pytest.approx(10.0, rel=1e-2)  # small-angle regime
 
     def test_no_null_reports_infinite_width(self):
         g = geom(slit=0.3, n=1.2)  # lambda_m / a = 1.53
         with pytest.raises(NullBeyondHorizon):
             first_null_angle(g, wave())
-        report = spot_report(g, wave())
+        report = evaluate(g, wave())
         assert math.isinf(report.full_width_mm)
-        assert report.first_null_angle.degrees == 90.0
+        assert report.first_null_angle_deg == 90.0
         assert 0.0 < report.pd_coverage <= 1.0
 
     def test_evanescent_order_propagates(self):
         with pytest.raises(EvanescentOrder):
-            spot_report(geom(slit=0.4, n=1.1), wave(lam=800, inc=90, order=1))
+            evaluate(geom(slit=0.4, n=1.1), wave(lam=800, inc=90, order=1))
 
 
 class TestPowerFraction:
     def test_central_lobe_share(self):
         g, w = geom(), wave()
-        half = spot_report(g, w).full_width_mm / 2
+        half = evaluate(g, w).full_width_mm / 2
         got = pattern_power_fraction(g, w, half)
         assert got == pytest.approx(0.9028, abs=5e-4)
         assert got == pytest.approx(brute_fraction(g, w, half), abs=1e-6)
@@ -199,6 +201,33 @@ class TestPowerFraction:
         g, w = geom(), wave()
         got = pattern_power_fraction(g, w, halfwidth)
         assert got == pytest.approx(brute_fraction(g, w, halfwidth), abs=1e-6)
+
+    @pytest.mark.parametrize("slit", [4.0, 1.7e308])
+    def test_vanishing_null_distance_captures_everything(self, slit):
+        # the first-null distance lambda_m y / a underflows to 0
+        assert pattern_power_fraction(geom(slit=slit, depth=5e-324), wave(),
+                                      0.5) == 1.0
+
+    def test_horizon_of_an_overflowing_depth(self):
+        # tan(horizon) y overflows; the horizon is tan(horizon) a / lambda_m
+        g, w = geom(depth=1.7e308), wave()
+        lam_m_mm = 550.0 / 1.5 * 1e-6
+        scale = lam_m_mm * g.depth_mm / (g.slit_um * 1e-3)
+        t_max = TAN_HORIZON * g.slit_um * 1e-3 / lam_m_mm
+        want = (0.5 / scale) / sici_half_capture(t_max)
+        assert pattern_power_fraction(g, w, 0.5) == pytest.approx(want,
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("depth", [1e-3, 1.0, 1e300])
+    def test_flat_pattern_below_the_wavelength(self, depth):
+        # a 1e-310 um slit: sinc^2 is 1 out to the horizon, so the window
+        # holds its share of the horizon
+        g = geom(slit=1e-310, depth=depth)
+        want = min(0.5 / (TAN_HORIZON * depth), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = pattern_power_fraction(g, wave(), 0.5)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def sici_half_capture(t):
@@ -251,6 +280,73 @@ class TestHalfCapture:
         # integral_0^inf sinc^2 = 1/2, tail below 1/(pi^2 t)
         big = 1e7
         assert 0.5 - 1 / (math.pi ** 2 * big) <= _half_capture(big) <= 0.5
+
+    @pytest.mark.parametrize("t", [1e300, 1e308, math.inf])
+    def test_overflowing_argument_gives_one_half(self, t):
+        assert _half_capture(t) == 0.5
+
+    @pytest.mark.parametrize("t", [1e-150, 1e-155, 1e-162, 1e-200, 5e-324])
+    def test_tiny_argument_gives_itself(self, t):
+        # integral_0^t sinc^2 = t - pi^2 t^3 / 9 + ..., which is t here
+        assert _half_capture(t) == pytest.approx(t, rel=1e-15)
+
+
+def _positive(lo=5e-324):
+    """Every finite float from ``lo`` up, with both ends of the range."""
+    return (st.floats(lo, sys.float_info.max)
+            | st.sampled_from([lo, 1.7e308, sys.float_info.max]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slit=_positive(), depth=_positive(), pd=_positive(sys.float_info.min),
+       n=st.floats(1.0, 2.5, exclude_min=True),
+       n_air=st.floats(1.0, 1.001), lam=st.floats(200.0, 2000.0),
+       inc=st.floats(0.0, 90.0), power=st.floats(0.0, sys.float_info.max),
+       order=st.integers(0, 3))
+# The three slabs of the library's minimal evaluation that raised a math
+# domain error, a ZeroDivisionError and a domain error again.
+@example(slit=1.7e308, depth=0.75, pd=1.0, n=1.5, n_air=1.0, lam=550.0,
+         inc=0.0, power=1.0, order=1)
+@example(slit=4.0, depth=5e-324, pd=1.0, n=1.5, n_air=1.0, lam=550.0,
+         inc=0.0, power=1.0, order=1)
+@example(slit=4.0, depth=1.7e308, pd=1.0, n=1.5, n_air=1.0, lam=550.0,
+         inc=0.0, power=1.0, order=1)
+def test_evaluate_over_every_validated_slab(slit, depth, pd, n, n_air, lam,
+                                            inc, power, order):
+    """Every slab and wave that validation accepts either raise
+    EvanescentOrder or give a metric row without NaN: angles in
+    [0, 90] deg, a width >= 0 or +inf, coverage, transmittance and cos
+    factor in [0, 1], and at most the incident power captured."""
+    g = SteeringGeometry(slit_um=slit, depth_mm=depth, pd_length_mm=pd,
+                         n_ris=n, n_air=n_air)
+    w = IncidentWave(Wavelength(lam), Angle.from_degrees(inc), power_w=power,
+                     order=order)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the tail bound
+            m = evaluate(g, w)
+    except EvanescentOrder:
+        return
+    assert not any(math.isnan(v) for v in m)
+    assert 0.0 <= m.refraction_angle_deg < 90.0
+    assert 0.0 <= m.first_null_angle_deg <= 90.0
+    assert m.full_width_mm >= 0.0
+    assert 0.0 <= m.pd_coverage <= 1.0
+    assert 0.0 <= m.transmittance <= 1.0
+    assert 0.0 <= m.incidence_factor <= 1.0
+    assert 0.0 <= m.captured_power_w <= power
+
+
+def test_evaluate_finds_the_refraction_angle_once(monkeypatch):
+    from ris_vlc import diffraction
+
+    calls = []
+    real = diffraction.refraction_angle
+    monkeypatch.setattr(diffraction, "refraction_angle",
+                        lambda g, w: calls.append(1) or real(g, w))
+    m = evaluate(geom(), wave(order=1))
+    assert len(calls) == 1
+    assert m.refraction_angle_deg == real(geom(), wave(order=1)).degrees
 
 
 def test_import_leaves_scipy_out():

@@ -5,16 +5,16 @@ import pytest
 import ris_vlc
 from ris_vlc import cli
 
-MODULES = ("optics", "diffraction", "radiometry", "tuning", "bench",
-           "scenario", "runner")
+MODULES = ("optics", "diffraction", "tuning", "bench", "scenario", "runner")
 
 # Deleted public names: copies of a quantity that nothing but their own
-# tests called, and the index and depth solvers that were second entry
-# points beside ``tuning.solve``.  README lists what replaces each.
+# tests called, the index and depth solvers that were second entry points
+# beside ``tuning.solve``, and the two results that ``diffraction.evaluate``
+# replaces with one metric row.  README lists what replaces each.
 REMOVED = {
     "optics": ("snell_angle", "TotalInternalReflection"),
-    "diffraction": ("fraunhofer_relative_intensity",),
-    "radiometry": ("tuning_gain", "TuningGain"),
+    "diffraction": ("fraunhofer_relative_intensity", "spot_report",
+                    "SpotReport"),
     "tuning": ("solve_index_for_angle", "solve_depth_for_spot"),
     "bench": ("detect",),
 }
@@ -39,6 +39,14 @@ def test_removed_names_are_gone(name):
         assert not hasattr(module, attr)
         assert attr not in module.__all__
         assert attr not in ris_vlc.__all__
+
+
+def test_radiometry_module_is_gone():
+    # ``diffraction.evaluate`` gives its transmittance in the metric row
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("ris_vlc.radiometry")
+    gone = {"transmittance", "TransmittanceResult", "tuning_gain", "TuningGain"}
+    assert not gone & set(ris_vlc.__all__)
 
 
 def test_every_exported_exception_has_an_exit_code():

@@ -818,7 +818,7 @@ _MUTABLE = ([("geometry", k) for k in ("slit_um", "depth_mm", "pd_length_mm",
             + [("actuator", k) for k in ("v_max_v", "stretch_max", "v_on_v",
                                          "v_sat_v", "n_base", "delta_n")])
 _VALUES = (st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e300,
-                            -1e300, 2])
+                            -1e300, 2, 5e-324, 1.7e308])
            | st.floats(0.1, 10.0) | st.floats(100.0, 2000.0))
 
 
@@ -860,6 +860,15 @@ def _spot_width(value_mm):
 @example(mode=_spot_width(5e-324),
          mutations=[(("geometry", "slit_um"), 0.37), (("wave", "order"), 0)],
          expect=3)
+# Valid extreme slabs of the minimal evaluation once crashed the capture
+# fraction: with a math domain error (2 pi t and tan(horizon) y overflowed)
+# and with a ZeroDivisionError (the first-null distance underflowed).
+@example(mode=("eval", {}), mutations=[(("geometry", "slit_um"), 1.7e308)],
+         expect=0)
+@example(mode=("eval", {}), mutations=[(("geometry", "depth_mm"), 5e-324)],
+         expect=0)
+@example(mode=("eval", {}), mutations=[(("geometry", "depth_mm"), 1.7e308)],
+         expect=0)
 def test_scenario_cli_contract(mode, mutations, expect):
     """Any mode with mutated geometry, wave or actuator fields ends in a
     mapped exit code (``expect``, when given) and a JSON record on
@@ -885,6 +894,9 @@ def test_scenario_cli_contract(mode, mutations, expect):
         assert not wrote
     else:
         assert "case.meta.json" in written
+    if expect == 0:  # a valid slab: its metrics whole, nothing on stderr
+        assert not err.getvalue()
+        assert not any("nan" in text for text in written.values())
     for name, text in written.items():
         if name.endswith(".csv"):
             lines = text.splitlines()
