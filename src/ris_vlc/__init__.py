@@ -4,7 +4,7 @@ refractive front-ends in visible-light receivers."""
 __version__ = "0.1.0"
 
 from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
-                     Wavelength, refraction_angle)
+                     refraction_angle)
 from .diffraction import (IntensityProfile, Metrics, NullBeyondHorizon,
                           evaluate, first_null_angle, medium_wavelength_nm,
                           pattern_power_fraction, profile_on_pd,

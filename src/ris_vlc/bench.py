@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .optics import (POSITIVE, Angle, EvanescentOrder, IncidentWave,
-                     SteeringGeometry, Wavelength, grating_term, interval,
-                     steering_sine)
+from .optics import (BOUNDS as OPTICS_BOUNDS, POSITIVE, Angle, EvanescentOrder,
+                     IncidentWave, SteeringGeometry, check_fields,
+                     grating_term, interval, steering_sine)
 from .diffraction import _incidence_factor, pattern_power_fraction
 from .tuning import (Actuator, DesignTarget, Infeasible, MetaLensActuator,
                      actuator_preset, drive_map, solve_voltage)
@@ -105,6 +105,7 @@ class ReceiverFrontEnd:
                 raise ValueError(f"{self.kind} requires an actuator")
             if self.kind == "lc_ris" and self.geometry is None:
                 raise ValueError("lc_ris requires a base geometry")
+            check_fields(self, OPTICS_BOUNDS, "wavelength_nm")
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def _cmbbp_rolloff(fe: ReceiverFrontEnd, deg: float) -> float:
 
 class _Detector:
     """(detected, relative intensity) of one front end at a rotation in
-    radians, built once per sweep with what does not depend on the
+    degrees, built once per sweep with what does not depend on the
     rotation: the drive map, the rest and full-drive slabs with their
     order terms and, on first use, the rest slab's capture fraction.
     ``rotation_sweep`` alone calls it, on its grid in [0, 90] deg, so the
@@ -198,24 +199,24 @@ class _Detector:
         if fe.kind in RIS_KINDS:
             self.apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
             self.rest, self.full = self.apply(v_rest), self.apply(v_full)
-            self.wavelength = Wavelength(fe.wavelength_nm)
             self.gratings = [grating_term(1, fe.wavelength_nm, slab.slit_um)
                              for slab in (self.rest, self.full)]
             self.half = self.rest.pd_length_mm / 2
             self.rest_capture: float | None = None
 
-    def __call__(self, rad: float) -> tuple[bool, float]:
+    def __call__(self, grid_deg: float) -> tuple[bool, float]:
+        rad = math.radians(grid_deg)
         deg = math.degrees(rad)
         if deg > self.max_deg:
             return (False, 0.0)
         if self.fe.kind in RIS_KINDS:
-            return self._steer(rad)
+            return self._steer(rad, grid_deg)
         intensity = math.cos(rad)
         if self.fe.kind == "cmbbp":
             intensity *= _cmbbp_rolloff(self.fe, deg)
         return (True, intensity)
 
-    def _steer(self, rad: float) -> tuple[bool, float]:
+    def _steer(self, rad: float, grid_deg: float) -> tuple[bool, float]:
         sin_in, rest, full, half = math.sin(rad), self.rest, self.full, self.half
         sine_rest = steering_sine(rest.n_air, sin_in, self.gratings[0],
                                   rest.n_ris)
@@ -227,7 +228,7 @@ class _Detector:
             return (False, 0.0)  # not steerable onto the detector
         factor = _incidence_factor(rad)
         if rest.depth_mm * math.tan(math.asin(sine_rest)) > half:
-            wave = IncidentWave(self.wavelength, Angle(rad), order=1)
+            wave = IncidentWave(self.fe.wavelength_nm, grid_deg, order=1)
             target = DesignTarget("pd_landing", half, wave, self.fe.geometry,
                                   "voltage")
             try:
@@ -237,7 +238,7 @@ class _Detector:
             return (True, 0.0 if factor == 0.0 else
                     factor * pattern_power_fraction(state, wave, half))
         if self.rest_capture is None:
-            wave = IncidentWave(self.wavelength, Angle(rad), order=1)
+            wave = IncidentWave(self.fe.wavelength_nm, grid_deg, order=1)
             self.rest_capture = pattern_power_fraction(rest, wave, half)
         return (True, 0.0 if factor == 0.0 else factor * self.rest_capture)
 
@@ -252,9 +253,14 @@ def rotation_sweep(front_end: ReceiverFrontEnd, step_deg: float) -> RotationSwee
     else:
         angles[-1] = 90.0
     detector = _Detector(front_end)
-    detected, intensity = zip(*(detector(math.radians(deg))
-                                for deg in angles))
-    return RotationSweepResult(tuple(angles), detected, intensity)
+    # Filled per rotation: no (detected, intensity) pair outlives its rotation.
+    detected, intensity = [], []
+    for deg in angles:
+        hit, value = detector(deg)
+        detected.append(hit)
+        intensity.append(value)
+    return RotationSweepResult(tuple(angles), tuple(detected),
+                               tuple(intensity))
 
 
 def compare_table(

@@ -120,7 +120,7 @@ class Metrics(NamedTuple):
 
 def medium_wavelength_nm(geom: SteeringGeometry, wave: IncidentWave) -> float:
     """In-medium wavelength lambda / n_ris, in nanometres."""
-    return wave.wavelength.nanometres / geom.n_ris
+    return wave.wavelength_nm / geom.n_ris
 
 
 def steering_offset_mm(geom: SteeringGeometry, wave: IncidentWave) -> float:
@@ -148,19 +148,27 @@ def profile_on_pd(
     """Sample the steered pattern across the detector aperture.
 
     Positions run over [-x/2, x/2] on the plane at the slab depth; the
-    angular coordinate of a point is atan((u - centre) / depth).
+    sine of a point's angle atan(d / y), d = u - centre, is d / hypot(y, d),
+    which numpy takes from libm, not from a CPU-dependent SIMD kernel.
     """
     import numpy as np
 
     BOUNDS["samples"].check("samples", samples)
     centre = steering_offset_mm(geom, wave)
     lam_m = medium_wavelength_nm(geom, wave)
-    # Overflows go to +-inf (atan +-pi/2) or to linspace's last point.
-    with np.errstate(over="ignore"):
+    y = geom.depth_mm
+    # Overflows go to linspace's last point or to d = +-inf (sine +-1).
+    # Where hypot could overflow, y and d are halved, which keeps the ratio.
+    with np.errstate(over="ignore", invalid="ignore"):
         u = np.linspace(-geom.pd_length_mm / 2, geom.pd_length_mm / 2, samples)
-        theta = np.arctan((u - centre) / geom.depth_mm)
+        d = u - centre
+        if max(y, abs(d[0]), abs(d[-1])) < 2.0 ** 1023:
+            sine = np.divide(d, np.hypot(y, d), out=d)
+        else:
+            h = d / 2
+            sine = np.where(np.isinf(h), np.sign(h), h / np.hypot(y / 2, h))
     k = min(geom.slit_um * 1e3 / lam_m, sys.float_info.max / 4)  # pi k finite
-    intensity = np.sinc(k * np.sin(theta)) ** 2
+    intensity = np.sinc(k * sine) ** 2
     return IntensityProfile(
         positions_mm=u,
         relative_intensity=intensity,
@@ -188,7 +196,7 @@ def evaluate(geom: SteeringGeometry, wave: IncidentWave) -> Metrics:
         null = Angle(math.pi / 2)
         width = math.inf
     coverage = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
-    factor = _incidence_factor(wave.incidence.radians)
+    factor = _incidence_factor(math.radians(wave.incidence_deg))
     value = 0.0 if factor == 0.0 else factor * coverage
     return Metrics(theta.degrees, null.degrees, width, coverage, value,
                    factor, value * wave.power_w)
@@ -271,7 +279,7 @@ def pattern_power_fraction(
     t_max = _TAN_HORIZON * geom.depth_mm / scale if scale else math.inf
     if not sys.float_info.min <= t_max < math.inf:
         t_max = _TAN_HORIZON * geom.slit_um / (lam_m_mm * 1e3)
-    tail_bound = 1.0 / (math.pi ** 2 * t_max)
+    tail_bound = min(1.0 / (math.pi ** 2 * t_max), 1.0)
     if tail_bound > _TAIL_WARN:
         warnings.warn(
             f"normalisation tail beyond the 89.9 deg horizon bounded by "

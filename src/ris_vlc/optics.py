@@ -7,8 +7,8 @@ diffraction orders:
 
 solved for ``theta_out``.  The slit width ``a`` doubles as the grating
 pitch: the front face carries a single centred slit, so it is the only
-lateral length scale available to the order term.  Angles are stored in
-radians; degrees appear only at I/O boundaries.
+lateral length scale available to the order term.  Computed angles are
+radians; the wave's incidence is in degrees, as in a scenario file.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "EvanescentOrder",
-    "Wavelength",
     "Angle",
     "SteeringGeometry",
     "IncidentWave",
@@ -93,16 +92,6 @@ def check_fields(obj: Any, bounds: dict[str, Bound], *names: str) -> None:
 
 
 @dataclass(frozen=True, order=True)
-class Wavelength:
-    """Vacuum wavelength in nanometres, limited to the visible/NIR band."""
-
-    nanometres: float
-
-    def __post_init__(self) -> None:
-        BOUNDS["wavelength_nm"].check("wavelength_nm", self.nanometres)
-
-
-@dataclass(frozen=True, order=True)
 class Angle:
     """Plane angle stored in radians."""
 
@@ -145,22 +134,23 @@ class SteeringGeometry:
 
 @dataclass(frozen=True)
 class IncidentWave:
-    """Monochromatic plane wave hitting the front face.
+    """Monochromatic plane wave hitting the front face, with the fields of
+    a scenario's wave block.
 
-    ``incidence`` is measured from the face normal (half of the receiver
-    field of view) and must lie in [0, 90 deg].  ``order`` selects the
-    diffraction order; the first order is the default since it carries
-    the strongest steered intensity.
+    ``wavelength_nm`` is the vacuum wavelength; ``incidence_deg`` is
+    measured from the face normal (half of the receiver field of view).
+    ``order`` selects the diffraction order; the first order is the
+    default since it carries the strongest steered intensity.
     """
 
-    wavelength: Wavelength
-    incidence: Angle
+    wavelength_nm: float
+    incidence_deg: float
     power_w: float = 1.0
     order: int = 1
 
     def __post_init__(self) -> None:
-        BOUNDS["incidence_deg"].check("incidence_deg", self.incidence.degrees)
-        check_fields(self, BOUNDS, "power_w", "order")
+        check_fields(self, BOUNDS, "wavelength_nm", "incidence_deg",
+                     "power_w", "order")
 
 
 def grating_term(order: int, wavelength_nm: float, slit_um: float) -> float:
@@ -183,12 +173,12 @@ def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
         EvanescentOrder: the order's tangential component is too large to
             propagate (sine argument >= 1).
     """
-    grating = grating_term(wave.order, wave.wavelength.nanometres, geom.slit_um)
-    s = steering_sine(geom.n_air, math.sin(wave.incidence.radians), grating,
-                      geom.n_ris)
+    grating = grating_term(wave.order, wave.wavelength_nm, geom.slit_um)
+    s = steering_sine(geom.n_air, math.sin(math.radians(wave.incidence_deg)),
+                      grating, geom.n_ris)
     if s >= 1.0:
         raise EvanescentOrder(
             f"order {wave.order} is evanescent: sine argument {s:.6g} >= 1 "
-            f"(lambda={wave.wavelength.nanometres:g} nm, slit={geom.slit_um:g} um, "
+            f"(lambda={wave.wavelength_nm:g} nm, slit={geom.slit_um:g} um, "
             f"n_ris={geom.n_ris:g})")
     return Angle(math.asin(s))

@@ -25,9 +25,8 @@ from typing import Iterable
 from . import __version__
 from .bench import compare_table, default_front_end, format_table, table_to_csv
 from .diffraction import Metrics, evaluate, profile_on_pd
-from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
-                     Wavelength)
-from .scenario import _PARAM_FIELD, Scenario, SweepSpec, load_scenario
+from .optics import EvanescentOrder, IncidentWave, SteeringGeometry
+from .scenario import _PARAM_FIELD, _WAVE, Scenario, SweepSpec, load_scenario
 from .tuning import Actuator, drive_map, solve
 
 __all__ = ["RunReport", "run", "run_bundled", "bundled_scenario_names",
@@ -111,13 +110,11 @@ def _apply_override(key: str, value: float, geom: SteeringGeometry,
                     ) -> tuple[SteeringGeometry, IncidentWave]:
     """The state with the field ``key`` (a value of ``_PARAM_FIELD``) set
     to ``value``; ``voltage_v`` drives the actuator over ``geom``."""
-    if key == "wavelength_nm":
-        return geom, replace(wave, wavelength=Wavelength(value))
-    if key == "incidence_deg":
-        return geom, replace(wave, incidence=Angle.from_degrees(value))
     if key == "voltage_v":
         apply, _, _ = drive_map(actuator, geom)
         return apply(value), wave
+    if key in _WAVE:
+        return geom, replace(wave, **{key: value})
     return replace(geom, **{key: value}), wave
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from . import bench, diffraction, optics, tuning
-from .optics import Angle, Bound, IncidentWave, SteeringGeometry, Wavelength
+from .optics import Bound, IncidentWave, SteeringGeometry
 from .tuning import (FREE_VARIABLES, PRESET_NAMES, TARGET_KINDS, Actuator,
                      DesignTarget, LiquidCrystalActuator, MetaLensActuator,
                      actuator_preset)
@@ -63,8 +63,7 @@ def _defaults(cls: type, *names: str) -> dict[str, Any]:
 
 # The numeric keys of each block with their defaults.
 _GEOMETRY = _defaults(SteeringGeometry)
-_WAVE = {"wavelength_nm": MISSING, "incidence_deg": MISSING,
-         **_defaults(IncidentWave, "power_w", "order")}
+_WAVE = _defaults(IncidentWave)
 _METALENS = _defaults(MetaLensActuator, "v_max_v", "stretch_max")
 # A scenario names its liquid-crystal base index; the class default is
 # the preset's.
@@ -197,11 +196,7 @@ def _parse_geometry(block: dict, errors: list[str]) -> SteeringGeometry | None:
 
 def _parse_wave(block: dict, errors: list[str]) -> IncidentWave | None:
     values = _read(block, "wave", _WAVE, errors)
-    if values is None:
-        return None
-    return IncidentWave(wavelength=Wavelength(values["wavelength_nm"]),
-                        incidence=Angle.from_degrees(values["incidence_deg"]),
-                        power_w=values["power_w"], order=values["order"])
+    return None if values is None else IncidentWave(**values)
 
 
 def _parse_actuator(block: dict, geometry: SteeringGeometry | None,

@@ -246,12 +246,12 @@ def _index_for(kind: str, value: float, geom: SteeringGeometry,
     """
     if kind == "spot_width":
         sin_null = math.sin(math.atan(value / (2.0 * geom.depth_mm)))
-        return wave.wavelength.nanometres / (geom.slit_um * 1e3 * sin_null)
+        return wave.wavelength_nm / (geom.slit_um * 1e3 * sin_null)
     theta = (math.radians(value) if kind == "refraction_angle"
              else math.atan(value / geom.depth_mm))
-    grating = grating_term(wave.order, wave.wavelength.nanometres, geom.slit_um)
-    return steering_sine(geom.n_air, math.sin(wave.incidence.radians), grating,
-                         math.sin(theta))
+    grating = grating_term(wave.order, wave.wavelength_nm, geom.slit_um)
+    return steering_sine(geom.n_air, math.sin(math.radians(wave.incidence_deg)),
+                         grating, math.sin(theta))
 
 
 def _lc_drive(act: LiquidCrystalActuator, kind: str, value: float,
@@ -285,8 +285,8 @@ def _metalens_drive(act: MetaLensActuator, kind: str, value: float,
     [0, v_max].
     """
     s_max, y, n = act.stretch_max, base.depth_mm, base.n_ris
-    a_term = base.n_air * math.sin(wave.incidence.radians)
-    b_term = grating_term(wave.order, wave.wavelength.nanometres, base.slit_um)
+    a_term = base.n_air * math.sin(math.radians(wave.incidence_deg))
+    b_term = grating_term(wave.order, wave.wavelength_nm, base.slit_um)
     if kind == "refraction_angle":
         s = b_term / (n * math.sin(math.radians(value)) - a_term)
     else:

@@ -11,7 +11,7 @@ from ris_vlc.bench import (KINDS, RIS_KINDS, ReceiverFrontEnd,
                            rotation_sweep, table_to_csv)
 from ris_vlc.diffraction import evaluate, steering_offset_mm
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
-                            SteeringGeometry, Wavelength)
+                            SteeringGeometry)
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                             MetaLensActuator, drive_map, solve_voltage)
 
@@ -37,6 +37,12 @@ class TestFrontEndConstruction:
     def test_ris_requires_actuator(self):
         with pytest.raises(ValueError):
             ReceiverFrontEnd("lc_ris", deg(90.0), 0.1, True)
+
+    def test_ris_wavelength_in_band(self):
+        fe = default_front_end("lc_ris")
+        for bad in (100.0, 2500.0, math.nan):
+            with pytest.raises(ValueError, match="wavelength_nm must"):
+                replace(fe, wavelength_nm=bad)
 
     def test_every_kind_has_a_default_front_end(self):
         assert [default_front_end(k).kind for k in KINDS] == list(KINDS)
@@ -234,7 +240,7 @@ def object_model_detect(fe, angle_deg):
         return (True, intensity)
     apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
     rest, full = apply(v_rest), apply(v_full)
-    wave = IncidentWave(Wavelength(fe.wavelength_nm), rotation, order=1)
+    wave = IncidentWave(fe.wavelength_nm, angle_deg, order=1)
     half = rest.pd_length_mm / 2
     try:
         landing_rest = steering_offset_mm(rest, wave)

@@ -9,10 +9,11 @@ MODULES = ("optics", "diffraction", "tuning", "bench", "scenario", "runner")
 
 # Deleted public names: copies of a quantity that nothing but their own
 # tests called, the index and depth solvers that were second entry points
-# beside ``tuning.solve``, and the two results that ``diffraction.evaluate``
-# replaces with one metric row.  README lists what replaces each.
+# beside ``tuning.solve``, the two results that ``diffraction.evaluate``
+# replaces with one metric row, and the wavelength wrapper whose value
+# ``IncidentWave.wavelength_nm`` holds.  README lists what replaces each.
 REMOVED = {
-    "optics": ("snell_angle", "TotalInternalReflection"),
+    "optics": ("snell_angle", "TotalInternalReflection", "Wavelength"),
     "diffraction": ("fraunhofer_relative_intensity", "spot_report",
                     "SpotReport"),
     "tuning": ("solve_index_for_angle", "solve_depth_for_spot"),

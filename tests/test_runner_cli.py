@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -732,6 +735,25 @@ def test_bundled_artifacts_match_golden_hashes(tmp_path):
         want.update(reversed(line.split())
                     for line in (GOLDEN / sums).read_text().splitlines())
     assert got == want
+
+
+# numpy 2's names for its AVX-512 dispatch targets; numpy 1.x names them
+# differently.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="the dispatch target names are numpy 2's")
+def test_golden_hashes_hold_without_avx512(tmp_path):
+    """The golden check passes again in a process where numpy runs no
+    AVX-512 kernel: no artifact byte depends on the SIMD dispatch."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
+    test = f"{__file__}::test_bundled_artifacts_match_golden_hashes"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         test], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-2000:]
 
 
 _ACTUATORS = [None, {"preset": "lc-sun2019"},

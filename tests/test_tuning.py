@@ -6,8 +6,8 @@ import pytest
 
 from ris_vlc import tuning
 from ris_vlc.diffraction import NullBeyondHorizon, first_null_angle, steering_offset_mm
-from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
-                            SteeringGeometry, Wavelength, refraction_angle)
+from ris_vlc.optics import (EvanescentOrder, IncidentWave,
+                            SteeringGeometry, refraction_angle)
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                             MetaLensActuator, OutOfMaterialRange,
                             actuator_preset, drive_map, lc_apply,
@@ -19,7 +19,7 @@ def geom(slit=100.0, depth=0.75, pd=1.0, n=1.508):
 
 
 def wave(lam=550.0, inc=90.0, order=1):
-    return IncidentWave(Wavelength(lam), Angle.from_degrees(inc), order=order)
+    return IncidentWave(lam, inc, order=order)
 
 
 def metalens(stretch_max=2.0, v_max=1000.0, base=None):
@@ -215,24 +215,24 @@ class TestSolveIndex:
 class TestSolveDepth:
     def test_round_trip(self):
         g = geom(slit=4.0, n=1.5, depth=1.0)
-        w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
+        w = IncidentWave(550, 0, order=0)
         width = 2.0 * g.depth_mm * math.tan(first_null_angle(g, w).radians)
         got = depth_for(width, 4.0, 1.5, w)
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_value(self):
-        w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
+        w = IncidentWave(550, 0, order=0)
         y = depth_for(0.184, 4.0, 1.5, w)
         assert y == pytest.approx(0.9994108016292514, abs=1e-12)
 
     def test_linearity(self):
-        w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
+        w = IncidentWave(550, 0, order=0)
         y1 = depth_for(0.1, 4.0, 1.5, w)
         y2 = depth_for(0.2, 4.0, 1.5, w)
         assert y2 == pytest.approx(2 * y1, rel=1e-12)
 
     def test_no_null_propagates(self):
-        w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
+        w = IncidentWave(550, 0, order=0)
         with pytest.raises(NullBeyondHorizon):
             depth_for(0.1, 0.3, 1.2, w)
 
@@ -240,8 +240,7 @@ class TestSolveDepth:
         (4.0, 10.0, 1, 1e308, "inf"), (0.37, 0.0, 0, 5e-324, "0")])
     def test_depth_beyond_its_bound_is_out_of_range(self, slit, inc, order,
                                                     target, depth):
-        w = IncidentWave(Wavelength(550), Angle.from_degrees(inc),
-                         order=order)
+        w = IncidentWave(550, inc, order=order)
         with pytest.raises(OutOfMaterialRange,
                            match=f"required depth {depth} mm is not finite "
                                  f"and > 0"):
@@ -270,7 +269,7 @@ class TestSolveVoltage:
 
     def test_metalens_identity_target(self):
         act = metalens(stretch_max=2.0, base=geom(slit=4.0, n=1.5))
-        w = IncidentWave(Wavelength(550), Angle.from_degrees(0), order=0)
+        w = IncidentWave(550, 0, order=0)
         width = 2.0 * 0.75 * math.tan(
             first_null_angle(act.base_geometry, w).radians)
         target = DesignTarget("spot_width", width, w, None, "voltage")
