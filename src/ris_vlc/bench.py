@@ -114,14 +114,6 @@ class RotationSweepResult:
     detected: tuple[bool, ...]
     relative_intensity: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not (len(self.angles_deg) == len(self.detected)
-                == len(self.relative_intensity)):
-            raise ValueError("sweep columns must have equal length")
-        for d, i in zip(self.detected, self.relative_intensity):
-            if not d and i != 0.0:
-                raise ValueError("undetected points must carry zero intensity")
-
 
 @dataclass(frozen=True)
 class FrontEndSummary:

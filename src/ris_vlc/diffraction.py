@@ -40,10 +40,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .optics import Angle, Bound, IncidentWave, SteeringGeometry, refraction_angle
+from .optics import Bound, IncidentWave, SteeringGeometry, refraction_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,30 +77,13 @@ class NullBeyondHorizon(Exception):
     in-medium wavelength, so the central lobe fills the half-space."""
 
 
-@dataclass(frozen=True, eq=False)
-class IntensityProfile:
-    """Sampled relative intensity over the detector plane.
-
-    ``positions_mm`` are lateral offsets from the slit axis (strictly
-    increasing); values are normalised to the central maximum of the
-    pattern.  ``center_offset_mm`` is the steering displacement of the
-    pattern centre on the plane.
-    """
+class IntensityProfile(NamedTuple):
+    """Sampled relative intensity over the detector plane: lateral offsets
+    from the slit axis, increasing, and intensities normalised to the
+    central maximum of the pattern."""
 
     positions_mm: np.ndarray
     relative_intensity: np.ndarray
-    center_offset_mm: float
-    medium_wavelength_nm: float
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        if self.positions_mm.shape != self.relative_intensity.shape:
-            raise ValueError("positions and intensities must have equal length")
-        if not np.all(np.diff(self.positions_mm) > 0):
-            raise ValueError("positions must be strictly increasing")
-        if np.any(self.relative_intensity < 0) or np.any(self.relative_intensity > 1):
-            raise ValueError("relative intensity must lie in [0, 1]")
 
 
 class Metrics(NamedTuple):
@@ -125,11 +107,12 @@ def medium_wavelength_nm(geom: SteeringGeometry, wave: IncidentWave) -> float:
 
 def steering_offset_mm(geom: SteeringGeometry, wave: IncidentWave) -> float:
     """Lateral displacement of the pattern centre on the detector plane."""
-    return geom.depth_mm * math.tan(refraction_angle(geom, wave).radians)
+    return geom.depth_mm * math.tan(refraction_angle(geom, wave))
 
 
-def first_null_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
-    """Angle of the first intensity null about the pattern centre.
+def first_null_angle(geom: SteeringGeometry, wave: IncidentWave) -> float:
+    """Angle of the first intensity null about the pattern centre, in
+    radians.
 
     Raises:
         NullBeyondHorizon: lambda_m / a >= 1, no null exists.
@@ -139,7 +122,7 @@ def first_null_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
         raise NullBeyondHorizon(
             f"lambda_m/a = {ratio:.6g} >= 1: slit narrower than the in-medium "
             f"wavelength, central lobe fills the half-space")
-    return Angle(math.asin(ratio))
+    return math.asin(ratio)
 
 
 def profile_on_pd(
@@ -169,12 +152,7 @@ def profile_on_pd(
             sine = np.where(np.isinf(h), np.sign(h), h / np.hypot(y / 2, h))
     k = min(geom.slit_um * 1e3 / lam_m, sys.float_info.max / 4)  # pi k finite
     intensity = np.sinc(k * sine) ** 2
-    return IntensityProfile(
-        positions_mm=u,
-        relative_intensity=intensity,
-        center_offset_mm=centre,
-        medium_wavelength_nm=lam_m,
-    )
+    return IntensityProfile(u, intensity)
 
 
 def _incidence_factor(incidence_rad: float) -> float:
@@ -191,15 +169,14 @@ def evaluate(geom: SteeringGeometry, wave: IncidentWave) -> Metrics:
     try:
         null = first_null_angle(geom, wave)
         # (2 y) tan to the bit above the subnormals, and 2 y cannot overflow
-        width = 2.0 * (geom.depth_mm * math.tan(null.radians))
+        width = 2.0 * (geom.depth_mm * math.tan(null))
     except NullBeyondHorizon:
-        null = Angle(math.pi / 2)
-        width = math.inf
+        null, width = math.pi / 2, math.inf
     coverage = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
     factor = _incidence_factor(math.radians(wave.incidence_deg))
     value = 0.0 if factor == 0.0 else factor * coverage
-    return Metrics(theta.degrees, null.degrees, width, coverage, value,
-                   factor, value * wave.power_w)
+    return Metrics(math.degrees(theta), math.degrees(null), width, coverage,
+                   value, factor, value * wave.power_w)
 
 
 # Si(x) switches from its power series to the continued fraction of

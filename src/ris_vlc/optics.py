@@ -93,7 +93,8 @@ def check_fields(obj: Any, bounds: dict[str, Bound], *names: str) -> None:
 
 @dataclass(frozen=True, order=True)
 class Angle:
-    """Plane angle stored in radians."""
+    """Plane angle stored in radians: a front end's acceptance envelope
+    and roll-off start (``bench.ReceiverFrontEnd``)."""
 
     radians: float
 
@@ -166,8 +167,9 @@ def steering_sine(n_air: float, sin_in: float, grating: float,
     return (n_air * sin_in + grating) / n_ris
 
 
-def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
-    """Steered propagation angle of ``wave.order`` inside the slab.
+def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> float:
+    """Steered propagation angle of ``wave.order`` inside the slab, in
+    radians.
 
     Raises:
         EvanescentOrder: the order's tangential component is too large to
@@ -181,4 +183,4 @@ def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> Angle:
             f"order {wave.order} is evanescent: sine argument {s:.6g} >= 1 "
             f"(lambda={wave.wavelength_nm:g} nm, slit={geom.slit_um:g} um, "
             f"n_ris={geom.n_ris:g})")
-    return Angle(math.asin(s))
+    return math.asin(s)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -388,10 +389,16 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     _reject_unknown(data, "", ("name", "geometry", "wave", "actuator",
                                "profile", "sweep", "design", "bench"), errors)
     if "name" in data:
-        if isinstance(data["name"], str) and data["name"]:
-            name = data["name"]
-        else:
+        given = data["name"]
+        if not (isinstance(given, str) and given):
             errors.append("name: must be a non-empty string")
+        elif given in (".", "..") or any(sep and sep in given for sep in
+                                         ("/", os.sep, os.altsep, "\0")):
+            # it prefixes every artifact, which must stay inside --out
+            errors.append(f"name: must be a single path component (no "
+                          f"separator or NUL, not '.' or '..'), got {given!r}")
+        else:
+            name = given
 
     def parse(key: str, parser, *args):
         if key not in data:
@@ -435,16 +442,15 @@ def load_scenario(path: str | Path) -> Scenario:
     Parse errors are position-annotated; validation errors are batched.
     """
     path = Path(path)
-    text = path.read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
     except (ValueError, RecursionError) as exc:
-        # an integer literal beyond Python's digit limit, or nesting beyond
-        # the decoder's recursion limit
+        # bytes that are not UTF-8, an integer literal beyond Python's
+        # digit limit, or nesting beyond the decoder's recursion limit
         raise ScenarioError([f"parse error: {exc}"]) from exc
     return scenario_from_dict(data, name=path.stem)
 

@@ -228,9 +228,9 @@ def drive_map(
 
 def _evaluate_metric(kind: str, geom: SteeringGeometry, wave: IncidentWave) -> float:
     if kind == "refraction_angle":
-        return refraction_angle(geom, wave).degrees
+        return math.degrees(refraction_angle(geom, wave))
     if kind == "spot_width":
-        return 2.0 * (geom.depth_mm * math.tan(first_null_angle(geom, wave).radians))
+        return 2.0 * (geom.depth_mm * math.tan(first_null_angle(geom, wave)))
     return steering_offset_mm(geom, wave)
 
 
@@ -373,7 +373,7 @@ def solve(target: DesignTarget,
         state = replace(geom, n_ris=solved)
     elif target.free == "depth":
         # a null on the axis (tan 0) reaches the width at no finite depth
-        tan = math.tan(first_null_angle(geom, wave).radians)
+        tan = math.tan(first_null_angle(geom, wave))
         solved = target.value / (2.0 * tan) if tan else math.inf
         if not OPTICS_BOUNDS["depth_mm"].ok(solved):
             raise OutOfMaterialRange(

@@ -45,14 +45,14 @@ def wave(lam, inc, order=1, power=1.0):
 
 def test_criterion_1_reference_steering_endpoints():
     problems = []
-    at_14 = refraction_angle(geom(n=1.4), wave(300, 90)).degrees
-    at_19 = refraction_angle(geom(n=1.9), wave(300, 90)).degrees
+    at_14 = math.degrees(refraction_angle(geom(n=1.4), wave(300, 90)))
+    at_19 = math.degrees(refraction_angle(geom(n=1.9), wave(300, 90)))
     if abs(at_14 - 50.133) > 0.5:
         problems.append(f"n=1.4, 300 nm: {at_14:.4f} deg vs 50.133 +- 0.5")
     if abs(at_19 - 34.377) > 0.5:
         problems.append(f"n=1.9, 300 nm: {at_19:.4f} deg vs 34.377 +- 0.5")
-    swing = (refraction_angle(geom(n=1.4), wave(800, 90)).degrees
-             - refraction_angle(geom(n=1.9), wave(800, 90)).degrees)
+    swing = (math.degrees(refraction_angle(geom(n=1.4), wave(800, 90)))
+             - math.degrees(refraction_angle(geom(n=1.9), wave(800, 90))))
     if abs(swing - 20.053) > 0.7:
         problems.append(f"800 nm index swing: {swing:.4f} deg vs 20.053 +- 0.7")
     _report(1, "reference steering endpoints", problems)
@@ -74,7 +74,7 @@ def test_criterion_2_monotonicity_10k():
                 hi = refraction_angle(geom(slit=slit, n=n1), wave(lam, inc))
                 lo = refraction_angle(geom(slit=slit, n=n2), wave(lam, inc))
                 checked_n += 1
-                if not lo.radians < hi.radians:
+                if not lo < hi:
                     problems.append(f"index: n {n1}->{n2} at lam={lam}")
             except EvanescentOrder:
                 pass
@@ -87,7 +87,7 @@ def test_criterion_2_monotonicity_10k():
                 lo = refraction_angle(g, wave(lam1, inc))
                 hi = refraction_angle(g, wave(lam2, inc))
                 checked_lam += 1
-                if not lo.radians < hi.radians:
+                if not lo < hi:
                     problems.append(f"wavelength: {lam1}->{lam2} at n={n}")
             except EvanescentOrder:
                 pass
@@ -111,7 +111,7 @@ def test_criterion_3_snell_reduction_10k():
         # oracle: plain refraction, n_air sin(theta_in) = n_ris sin(theta)
         via_snell = math.asin(g.n_air * math.sin(math.radians(w.incidence_deg))
                               / g.n_ris)
-        if abs(via_order.radians - via_snell) > 1e-12:
+        if abs(via_order - via_snell) > 1e-12:
             problems.append(f"mismatch at n={g.n_ris}, inc={w.incidence_deg}")
     _report(3, "zeroth order equals plain refraction to 1e-12 rad", problems)
 
@@ -244,12 +244,12 @@ def test_criterion_7_inverse_solver_round_trips():
             theta = refraction_angle(g, w)
         except EvanescentOrder:
             continue
-        n_hat, _ = solve(DesignTarget("refraction_angle", theta.degrees, w, g,
-                                      "n_ris"))
+        n_hat, _ = solve(DesignTarget("refraction_angle", math.degrees(theta),
+                                      w, g, "n_ris"))
         back = refraction_angle(geom(slit=slit, n=n_hat), w)
-        if abs(back.radians - theta.radians) > 1e-9:
+        if abs(back - theta) > 1e-9:
             problems.append(f"index round trip off by "
-                            f"{abs(back.radians - theta.radians):.2e} rad")
+                            f"{abs(back - theta):.2e} rad")
 
     for _ in range(1000):  # depth solves
         slit = rng.uniform(2.0, 100.0)
@@ -260,7 +260,7 @@ def test_criterion_7_inverse_solver_round_trips():
         y0 = rng.uniform(0.05, 20.0)
         w = wave(lam, 0.0, order=0)
         g = SteeringGeometry(slit_um=slit, depth_mm=y0, pd_length_mm=1.0, n_ris=n)
-        width = 2.0 * y0 * math.tan(first_null_angle(g, w).radians)
+        width = 2.0 * y0 * math.tan(first_null_angle(g, w))
         y_hat, _ = solve(DesignTarget("spot_width", width, w, g, "depth"))
         if abs(y_hat - y0) > 1e-9 * y0:
             problems.append(f"depth round trip {y0} -> {y_hat}")
@@ -270,10 +270,10 @@ def test_criterion_7_inverse_solver_round_trips():
     for _ in range(500):  # liquid-crystal voltage solves
         v0 = rng.uniform(3.0, 5.0)
         w = wave(rng.uniform(300.0, 1500.0), rng.uniform(20.0, 90.0))
-        value = refraction_angle(lc_apply(lc, v0, base), w).degrees
+        value = math.degrees(refraction_angle(lc_apply(lc, v0, base), w))
         target = DesignTarget("refraction_angle", value, w, base, "voltage")
         v_hat = solve_voltage(target, lc)
-        achieved = refraction_angle(lc_apply(lc, v_hat, base), w).degrees
+        achieved = math.degrees(refraction_angle(lc_apply(lc, v_hat, base), w))
         if abs(achieved - value) > 1e-6 * value:
             problems.append(f"lc voltage target missed: {value} vs {achieved}")
 
@@ -283,11 +283,11 @@ def test_criterion_7_inverse_solver_round_trips():
         v0 = rng.uniform(0.0, 1000.0)
         w = wave(rng.uniform(300.0, 1500.0), rng.uniform(10.0, 90.0))
         state = metalens_apply(lens, v0)
-        value = state.depth_mm * math.tan(refraction_angle(state, w).radians)
+        value = state.depth_mm * math.tan(refraction_angle(state, w))
         target = DesignTarget("pd_landing", value, w, None, "voltage")
         v_hat = solve_voltage(target, lens)
         state2 = metalens_apply(lens, v_hat)
-        achieved = state2.depth_mm * math.tan(refraction_angle(state2, w).radians)
+        achieved = state2.depth_mm * math.tan(refraction_angle(state2, w))
         if abs(achieved - value) > 1e-6 * value:
             problems.append(f"lens voltage target missed: {value} vs {achieved}")
 

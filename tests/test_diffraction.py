@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import sici
 
-from ris_vlc.diffraction import (IntensityProfile, NullBeyondHorizon,
-                                 _half_capture, evaluate, first_null_angle,
-                                 medium_wavelength_nm, pattern_power_fraction,
-                                 profile_on_pd, steering_offset_mm)
+from ris_vlc.diffraction import (NullBeyondHorizon, _half_capture, evaluate,
+                                 first_null_angle, medium_wavelength_nm,
+                                 pattern_power_fraction, profile_on_pd,
+                                 steering_offset_mm)
 from ris_vlc.optics import EvanescentOrder, IncidentWave, SteeringGeometry
 from ris_vlc.runner import run
 from ris_vlc.scenario import (ProfileSpec, Scenario, ScenarioError,
@@ -86,7 +86,7 @@ class TestPointIntensity:
 class TestProfile:
     def test_symmetric_at_normal_incidence(self):
         prof = profile_on_pd(geom(), wave(order=0), 201)
-        assert prof.center_offset_mm == 0.0
+        assert steering_offset_mm(geom(), wave(order=0)) == 0.0
         np.testing.assert_allclose(prof.relative_intensity,
                                    prof.relative_intensity[::-1],
                                    rtol=0, atol=1e-13)
@@ -96,8 +96,9 @@ class TestProfile:
         g, w = geom(), wave(lam=633, order=1)
         prof = profile_on_pd(g, w, 51)
         ratio = g.slit_um * 1e3 / medium_wavelength_nm(g, w)
+        centre = steering_offset_mm(g, w)
         for u, val in zip(prof.positions_mm, prof.relative_intensity):
-            theta = math.atan((u - prof.center_offset_mm) / g.depth_mm)
+            theta = math.atan((u - centre) / g.depth_mm)
             x = math.pi * ratio * math.sin(theta)
             sinc2 = 1.0 if x == 0.0 else (math.sin(x) / x) ** 2
             assert val == pytest.approx(sinc2, abs=1e-14)
@@ -109,30 +110,20 @@ class TestProfile:
         g, w = geom(depth=1.7e308), wave(inc=60.0, order=order)
         prof = profile_on_pd(g, w, 5)
         ratio = g.slit_um * 1e3 / medium_wavelength_nm(g, w)
+        centre = steering_offset_mm(g, w)
         for u, val in zip(prof.positions_mm, prof.relative_intensity):
-            theta = math.atan((u - prof.center_offset_mm) / g.depth_mm)
+            theta = math.atan((u - centre) / g.depth_mm)
             x = math.pi * ratio * math.sin(theta)
             assert val == pytest.approx((math.sin(x) / x) ** 2, abs=1e-14)
 
     def test_steered_center(self):
         g, w = geom(), wave(lam=550, order=1)
-        prof = profile_on_pd(g, w, 11)
         expected = g.depth_mm * math.tan(math.asin((550 / 1.5) / 4000.0))
-        assert prof.center_offset_mm == pytest.approx(expected, rel=1e-12)
-        assert prof.center_offset_mm == pytest.approx(
-            steering_offset_mm(g, w), rel=0, abs=0)
+        assert steering_offset_mm(g, w) == pytest.approx(expected, rel=1e-12)
 
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
             profile_on_pd(geom(), wave(), 2)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            IntensityProfile(np.array([0.0, 1.0]), np.array([0.5, 1.5]),
-                             0.0, 366.7)
-        with pytest.raises(ValueError):
-            IntensityProfile(np.array([1.0, 0.0]), np.array([0.5, 0.5]),
-                             0.0, 366.7)
 
     def test_csv_round_trip(self, tmp_path):
         g, w = geom(), wave()
@@ -350,6 +341,36 @@ def test_evaluate_over_every_validated_slab(slit, depth, pd, n, n_air, lam,
     assert 0.0 <= m.captured_power_w <= power
 
 
+@settings(max_examples=300, deadline=None)
+@given(slit=_positive(), depth=_positive(), pd=_positive(sys.float_info.min),
+       n=st.floats(1.0, 2.5, exclude_min=True),
+       n_air=st.floats(1.0, 1.001), lam=st.floats(200.0, 2000.0),
+       inc=st.floats(0.0, 90.0), order=st.integers(0, 3),
+       samples=st.integers(3, 300))
+@example(slit=1.7e308, depth=0.75, pd=1.0, n=1.5, n_air=1.0, lam=550.0,
+         inc=0.0, order=1, samples=3)
+@example(slit=4.0, depth=5e-324, pd=1.0, n=1.5, n_air=1.0, lam=550.0,
+         inc=0.0, order=1, samples=3)
+@example(slit=4.0, depth=1.7e308, pd=1.0, n=1.5, n_air=1.0, lam=550.0,
+         inc=0.0, order=1, samples=3)
+def test_profile_over_every_validated_slab(slit, depth, pd, n, n_air, lam,
+                                           inc, order, samples):
+    """Every slab and wave that validation accepts either raise
+    EvanescentOrder or give ``samples`` strictly increasing positions from
+    -pd/2 to pd/2 and intensities in [0, 1], none of them NaN."""
+    g = SteeringGeometry(slit_um=slit, depth_mm=depth, pd_length_mm=pd,
+                         n_ris=n, n_air=n_air)
+    w = IncidentWave(lam, inc, order=order)
+    try:
+        u, intensity = profile_on_pd(g, w, samples)
+    except EvanescentOrder:
+        return
+    assert u.shape == intensity.shape == (samples,)
+    assert u[0] == -pd / 2 and u[-1] == pd / 2
+    assert np.all(np.diff(u) > 0)
+    assert np.all((intensity >= 0.0) & (intensity <= 1.0))  # False for NaN
+
+
 @settings(max_examples=200, deadline=None)
 @given(slit=_positive(), depth=st.sampled_from([1e-3, 0.75, 1e300]))
 @example(slit=1e-300, depth=0.75)
@@ -373,7 +394,7 @@ def test_evaluate_finds_the_refraction_angle_once(monkeypatch):
                         lambda g, w: calls.append(1) or real(g, w))
     m = evaluate(geom(), wave(order=1))
     assert len(calls) == 1
-    assert m.refraction_angle_deg == real(geom(), wave(order=1)).degrees
+    assert m.refraction_angle_deg == math.degrees(real(geom(), wave(order=1)))
 
 
 def test_import_leaves_scipy_out():

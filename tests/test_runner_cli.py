@@ -331,6 +331,38 @@ class TestCli:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", "nul\0byte",
+                                      ".", ".."])
+    def test_name_not_one_path_component_is_validation_error(
+            self, tmp_path, capsys, name):
+        path = write_scenario(tmp_path, minimal() | {"name": name})
+        out = tmp_path / "out" / "inner"
+        code = main(["eval", "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["error"] == "ScenarioError"
+        (violation,) = record["violations"]
+        assert violation.startswith("name: ")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"name": "\xff"}', "parse error: 'utf-8' codec can't decode byte "
+                               "0xff in position 10: invalid start byte"),
+        # a byte-order mark stays a JSON parse error, as json reports it
+        (b'\xef\xbb\xbf{}', "parse error at line 1, column 1: Unexpected "
+                             "UTF-8 BOM (decode using utf-8-sig)"),
+    ])
+    def test_undecodable_file_is_parse_error(self, tmp_path, capsys, text,
+                                             message):
+        path = tmp_path / "case.json"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        code = main(["eval", "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["violations"] == [message]
+        assert not out.exists()
+
     def test_out_dir_from_environment(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "env-out"
         monkeypatch.setenv("RIS_VLC_OUT", str(target))
