@@ -9,22 +9,23 @@ down to 0.5 at the envelope edge).  Tunable kinds score the full
 radiometric transmittance of the slab that lands the steered pattern on
 the detector: the rest slab where it lands there, and elsewhere the slab
 at the drive voltage solved to put the pattern centre on the detector
-edge.  Each rotation is evaluated in plain floats (``_Detector``); value
-objects are built only for a drive solve.
+edge.  Every front end of a table sweeps one rotation grid, in plain
+floats, with no value object per rotation (``_sweep``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .optics import (BOUNDS as OPTICS_BOUNDS, POSITIVE, Angle, EvanescentOrder,
-                     IncidentWave, SteeringGeometry, check_fields,
-                     grating_term, interval, steering_sine)
-from .diffraction import _incidence_factor, pattern_power_fraction
-from .tuning import (Actuator, DesignTarget, Infeasible, MetaLensActuator,
-                     actuator_preset, drive_map, solve_voltage)
+from .optics import (BOUNDS as OPTICS_BOUNDS, POSITIVE, Angle,
+                     SteeringGeometry, check_fields, grating_term, interval,
+                     steering_sine)
+from .diffraction import _capture, _incidence_factor
+from .tuning import (Actuator, Infeasible, MetaLensActuator, _drive,
+                     _driven_slab, actuator_preset, drive_map)
 
 __all__ = [
     "KINDS",
@@ -163,123 +164,96 @@ def default_front_end(kind: str) -> ReceiverFrontEnd:
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _cmbbp_rolloff(fe: ReceiverFrontEnd, deg: float) -> float:
-    start = fe.rolloff_start.degrees
-    edge = fe.max_incidence.degrees
-    if deg <= start:
-        return 1.0
-    return 1.0 - (1.0 - _CMBBP_FLOOR) * (deg - start) / (edge - start)
+def _grid(step_deg: float) -> tuple[list[float], ...]:
+    """The rotations 0..90 deg inclusive on the step, each also in radians,
+    back in degrees (the envelope test's operand) and as its cosine."""
+    BOUNDS["step_deg"].check("step_deg", step_deg)
+    count = int(math.floor(90.0 / step_deg + 1e-9))
+    angles = [round(k * step_deg, 12) for k in range(count + 1)]
+    if angles[-1] >= 90.0 - _ANGLE_EPS_DEG:
+        angles.pop()
+    angles.append(90.0)
+    rads = [math.radians(a) for a in angles]
+    return (angles, rads, [math.degrees(r) for r in rads],
+            [math.cos(r) for r in rads])
 
 
-class _Detector:
-    """(detected, relative intensity) of one front end at a rotation in
-    degrees, built once per sweep with what does not depend on the
-    rotation: the drive map, the rest and full-drive slabs with their
-    order terms and, on first use, the rest slab's capture fraction.
-    ``rotation_sweep`` alone calls it, on its grid in [0, 90] deg, so the
-    rotation is not checked again here.
-
-    A rotation is evaluated in plain floats, by the operations of
-    ``refraction_angle``, ``steering_offset_mm`` and ``evaluate``'s
-    transmittance in their order, so their values agree bit for bit.
-    Only where the rest slab misses the detector is a drive solved.
-    """
-
-    def __init__(self, fe: ReceiverFrontEnd) -> None:
-        self.fe = fe
-        self.max_deg = fe.max_incidence.degrees + _ANGLE_EPS_DEG
-        if fe.kind in RIS_KINDS:
-            self.apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
-            self.rest, self.full = self.apply(v_rest), self.apply(v_full)
-            self.gratings = [grating_term(1, fe.wavelength_nm, slab.slit_um)
-                             for slab in (self.rest, self.full)]
-            self.half = self.rest.pd_length_mm / 2
-            self.rest_capture: float | None = None
-
-    def __call__(self, grid_deg: float) -> tuple[bool, float]:
-        rad = math.radians(grid_deg)
-        deg = math.degrees(rad)
-        if deg > self.max_deg:
-            return (False, 0.0)
-        if self.fe.kind in RIS_KINDS:
-            return self._steer(rad, grid_deg)
-        intensity = math.cos(rad)
-        if self.fe.kind == "cmbbp":
-            intensity *= _cmbbp_rolloff(self.fe, deg)
-        return (True, intensity)
-
-    def _steer(self, rad: float, grid_deg: float) -> tuple[bool, float]:
-        sin_in, rest, full, half = math.sin(rad), self.rest, self.full, self.half
-        sine_rest = steering_sine(rest.n_air, sin_in, self.gratings[0],
-                                  rest.n_ris)
-        sine_full = steering_sine(full.n_air, sin_in, self.gratings[1],
-                                  full.n_ris)
+def _sweep(fe: ReceiverFrontEnd, grid: tuple[list[float], ...]
+           ) -> tuple[list[bool], list[float]]:
+    """(detected, relative intensity) of a front end at every rotation of
+    a ``_grid``, column by column: no pair outlives its rotation.  A
+    tunable kind follows ``refraction_angle``, ``steering_offset_mm``,
+    ``evaluate`` and ``solve_voltage`` operation for operation, so their
+    values agree bit for bit."""
+    angles, rads, degs, cosines = grid
+    hits = bisect.bisect_right(degs, fe.max_incidence.degrees + _ANGLE_EPS_DEG)
+    misses = len(angles) - hits
+    if fe.kind not in RIS_KINDS:
+        intensity = cosines[:hits] + [0.0] * misses
+        if fe.kind == "cmbbp":
+            start, edge = fe.rolloff_start.degrees, fe.max_incidence.degrees
+            for i in range(bisect.bisect_right(degs, start), hits):
+                intensity[i] *= (1.0 - (1.0 - _CMBBP_FLOOR)
+                                 * (degs[i] - start) / (edge - start))
+        return [True] * hits + [False] * misses, intensity
+    detected, intensity = [False] * len(angles), [0.0] * len(angles)
+    act, lam = fe.actuator, fe.wavelength_nm
+    apply, v_rest, v_full = drive_map(act, fe.geometry)
+    rest, full = apply(v_rest), apply(v_full)
+    g_rest, g_full = (grating_term(1, lam, s.slit_um) for s in (rest, full))
+    half, rest_capture = rest.pd_length_mm / 2, None
+    for i in range(hits):
+        sin_in = math.sin(rads[i])
+        sine_rest = steering_sine(rest.n_air, sin_in, g_rest, rest.n_ris)
+        sine_full = steering_sine(full.n_air, sin_in, g_full, full.n_ris)
         if sine_rest >= 1.0 or sine_full >= 1.0:
-            return (False, 0.0)  # the first order is evanescent
-        if full.depth_mm * math.tan(math.asin(sine_full)) > half + 1e-12:
-            return (False, 0.0)  # not steerable onto the detector
-        factor = _incidence_factor(rad)
-        if rest.depth_mm * math.tan(math.asin(sine_rest)) > half:
-            wave = IncidentWave(self.fe.wavelength_nm, grid_deg, order=1)
-            target = DesignTarget("pd_landing", half, wave, self.fe.geometry,
-                                  "voltage")
+            continue  # the first order is evanescent
+        landing_full = full.depth_mm * math.tan(math.asin(sine_full))
+        if landing_full > half + 1e-12:
+            continue  # not steerable onto the detector
+        factor = _incidence_factor(rads[i])
+        landing_rest = rest.depth_mm * math.tan(math.asin(sine_rest))
+        if landing_rest > half:
             try:
-                state = self.apply(solve_voltage(target, self.fe.actuator))
-            except (EvanescentOrder, Infeasible):
-                return (False, 0.0)
-            return (True, 0.0 if factor == 0.0 else
-                    factor * pattern_power_fraction(state, wave, half))
-        if self.rest_capture is None:
-            wave = IncidentWave(self.fe.wavelength_nm, grid_deg, order=1)
-            self.rest_capture = pattern_power_fraction(rest, wave, half)
-        return (True, 0.0 if factor == 0.0 else factor * self.rest_capture)
+                v = _drive(act, "pd_landing", half, rest, (v_rest, v_full),
+                           [landing_rest, landing_full], (lam, angles[i], 1))
+            except Infeasible:
+                continue
+            if factor != 0.0:  # no capture at grazing incidence
+                intensity[i] = factor * _capture(*_driven_slab(act, v, rest),
+                                                 lam, half)
+        else:
+            if rest_capture is None:
+                rest_capture = _capture(rest.slit_um, rest.depth_mm,
+                                        rest.n_ris, lam, half)
+            intensity[i] = factor * rest_capture
+        detected[i] = True
+    return detected, intensity
 
 
 def rotation_sweep(front_end: ReceiverFrontEnd, step_deg: float) -> RotationSweepResult:
     """Detection sweep over rotations 0..90 deg inclusive."""
-    BOUNDS["step_deg"].check("step_deg", step_deg)
-    count = int(math.floor(90.0 / step_deg + 1e-9))
-    angles = [round(k * step_deg, 12) for k in range(count + 1)]
-    if angles[-1] < 90.0 - _ANGLE_EPS_DEG:
-        angles.append(90.0)
-    else:
-        angles[-1] = 90.0
-    detector = _Detector(front_end)
-    # Filled per rotation: no (detected, intensity) pair outlives its rotation.
-    detected, intensity = [], []
-    for deg in angles:
-        hit, value = detector(deg)
-        detected.append(hit)
-        intensity.append(value)
-    return RotationSweepResult(tuple(angles), tuple(detected),
-                               tuple(intensity))
+    grid = _grid(step_deg)
+    detected, intensity = _sweep(front_end, grid)
+    return RotationSweepResult(*map(tuple, (grid[0], detected, intensity)))
 
 
 def compare_table(
     front_ends: list[ReceiverFrontEnd], step_deg: float
 ) -> list[FrontEndSummary]:
-    """One summary row per front-end (duplicates preserved, order kept)."""
+    """One summary row per front-end (duplicates preserved, order kept),
+    all swept over one grid.  The mean is summed left to right (``sum``
+    is compensated from Python 3.12 on), so every Python gives it alike."""
+    grid = _grid(step_deg)
     rows = []
     for fe in front_ends:
-        sweep = rotation_sweep(fe, step_deg)
-        det_angles = [a for a, d in zip(sweep.angles_deg, sweep.detected) if d]
-        det_intensity = [i for i, d in zip(sweep.relative_intensity,
-                                           sweep.detected) if d]
-        rows.append(FrontEndSummary(
-            kind=fe.kind,
-            max_detected_deg=max(det_angles) if det_angles else math.nan,
-            mean_intensity=(sum(det_intensity) / len(det_intensity)
-                            if det_intensity else 0.0),
-            tunable=fe.tunable,
-            voltage_range=fe.voltage_range,
-        ))
+        last, total, n = math.nan, 0.0, 0
+        for angle, hit, value in zip(grid[0], *_sweep(fe, grid)):
+            if hit:
+                last, total, n = angle, total + value, n + 1
+        rows.append(FrontEndSummary(fe.kind, last, total / n if n else 0.0,
+                                    fe.tunable, fe.voltage_range))
     return rows
-
-
-def _voltage_text(rng: tuple[float, float] | None) -> str:
-    if rng is None:
-        return "-"
-    return f"{rng[0]:g}-{rng[1]:g} V"
 
 
 def table_to_csv(rows: list[FrontEndSummary], path: str | Path) -> None:
@@ -301,7 +275,8 @@ def format_table(rows: list[FrontEndSummary]) -> str:
     header = f"{'kind':<14}{'max angle':>10}{'mean int.':>11}{'tunable':>9}{'voltage':>13}"
     lines = [header, "-" * len(header)]
     for r in rows:
+        volts = "-" if r.voltage_range is None else "%g-%g V" % r.voltage_range
         lines.append(
             f"{r.kind:<14}{r.max_detected_deg:>9.1f}°{r.mean_intensity:>11.4f}"
-            f"{('yes' if r.tunable else 'no'):>9}{_voltage_text(r.voltage_range):>13}")
+            f"{('yes' if r.tunable else 'no'):>9}{volts:>13}")
     return "\n".join(lines)

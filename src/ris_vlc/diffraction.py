@@ -42,7 +42,8 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
-from .optics import Bound, IncidentWave, SteeringGeometry, refraction_angle
+from .optics import (Bound, IncidentWave, SteeringGeometry, _refraction,
+                     refraction_angle)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,12 +113,13 @@ def steering_offset_mm(geom: SteeringGeometry, wave: IncidentWave) -> float:
 
 def first_null_angle(geom: SteeringGeometry, wave: IncidentWave) -> float:
     """Angle of the first intensity null about the pattern centre, in
-    radians.
+    radians; ``NullBeyondHorizon`` where lambda_m / a >= 1 (no null)."""
+    return _null_angle(geom.slit_um, geom.n_ris, wave.wavelength_nm)
 
-    Raises:
-        NullBeyondHorizon: lambda_m / a >= 1, no null exists.
-    """
-    ratio = medium_wavelength_nm(geom, wave) / (geom.slit_um * 1e3)
+
+def _null_angle(slit_um: float, n_ris: float, wavelength_nm: float) -> float:
+    """``first_null_angle`` over the field values of its slab and wave."""
+    ratio = wavelength_nm / n_ris / (slit_um * 1e3)
     if ratio >= 1.0:
         raise NullBeyondHorizon(
             f"lambda_m/a = {ratio:.6g} >= 1: slit narrower than the in-medium "
@@ -165,18 +167,27 @@ def _incidence_factor(incidence_rad: float) -> float:
 def evaluate(geom: SteeringGeometry, wave: IncidentWave) -> Metrics:
     """The metric row of the slab state; ``EvanescentOrder`` if the
     configured order does not propagate."""
-    theta = refraction_angle(geom, wave)
+    return _metrics(**vars(geom), **vars(wave))
+
+
+def _metrics(slit_um: float, depth_mm: float, pd_length_mm: float,
+             n_ris: float, n_air: float, wavelength_nm: float,
+             incidence_deg: float, power_w: float, order: int) -> Metrics:
+    """``evaluate`` over the field values of its slab and wave, by name."""
+    theta = _refraction(slit_um, n_ris, n_air, wavelength_nm, incidence_deg,
+                        order)
     try:
-        null = first_null_angle(geom, wave)
+        null = _null_angle(slit_um, n_ris, wavelength_nm)
         # (2 y) tan to the bit above the subnormals, and 2 y cannot overflow
-        width = 2.0 * (geom.depth_mm * math.tan(null))
+        width = 2.0 * (depth_mm * math.tan(null))
     except NullBeyondHorizon:
         null, width = math.pi / 2, math.inf
-    coverage = pattern_power_fraction(geom, wave, geom.pd_length_mm / 2)
-    factor = _incidence_factor(math.radians(wave.incidence_deg))
+    coverage = _capture(slit_um, depth_mm, n_ris, wavelength_nm,
+                        pd_length_mm / 2)
+    factor = _incidence_factor(math.radians(incidence_deg))
     value = 0.0 if factor == 0.0 else factor * coverage
     return Metrics(math.degrees(theta), math.degrees(null), width, coverage,
-                   value, factor, value * wave.power_w)
+                   value, factor, value * power_w)
 
 
 # Si(x) switches from its power series to the continued fraction of
@@ -248,29 +259,37 @@ def pattern_power_fraction(
     if not window_halfwidth_mm > 0:
         raise ValueError(
             f"window_halfwidth_mm must be > 0, got {window_halfwidth_mm}")
-    lam_m_mm = medium_wavelength_nm(geom, wave) * 1e-6
-    slit_mm = geom.slit_um * 1e-3
+    return _capture(geom.slit_um, geom.depth_mm, geom.n_ris,
+                    wave.wavelength_nm, window_halfwidth_mm, stacklevel=3)
+
+
+def _capture(slit_um: float, depth_mm: float, n_ris: float,
+             wavelength_nm: float, half_mm: float, stacklevel: int = 2) -> float:
+    """``pattern_power_fraction`` over field values and a half-width > 0;
+    the tail-bound warning is raised ``stacklevel`` frames up."""
+    lam_m_mm = wavelength_nm / n_ris * 1e-6
+    slit_mm = slit_um * 1e-3
     # First-null distance and horizon t_max = tan(horizon) a / lambda_m,
     # taken without the depth where a step with it under- or overflows.
-    scale = lam_m_mm * geom.depth_mm / slit_mm if slit_mm else math.inf
-    t_max = _TAN_HORIZON * geom.depth_mm / scale if scale else math.inf
+    scale = lam_m_mm * depth_mm / slit_mm if slit_mm else math.inf
+    t_max = _TAN_HORIZON * depth_mm / scale if scale else math.inf
     if not sys.float_info.min <= t_max < math.inf:
-        t_max = _TAN_HORIZON * geom.slit_um / (lam_m_mm * 1e3)
+        t_max = _TAN_HORIZON * slit_um / (lam_m_mm * 1e3)
     tail_bound = min(1.0 / (math.pi ** 2 * t_max), 1.0)
     if tail_bound > _TAIL_WARN:
         warnings.warn(
             f"normalisation tail beyond the 89.9 deg horizon bounded by "
-            f"{tail_bound:.2e} of total power", stacklevel=2)
+            f"{tail_bound:.2e} of total power", stacklevel=stacklevel)
     if scale == math.inf or t_max < sys.float_info.min:
         # t_win / t_max is the window's share of the horizon, and the
         # capture where sinc^2 is flat out to the horizon
-        share = window_halfwidth_mm / geom.depth_mm / _TAN_HORIZON
+        share = half_mm / depth_mm / _TAN_HORIZON
         if t_max < sys.float_info.min:
             return min(share, 1.0)
         t_win = min(t_max * share, t_max)
     else:
         # A first-null distance that underflows to 0 puts all power inside.
-        t_win = min(window_halfwidth_mm / scale, t_max) if scale else t_max
+        t_win = min(half_mm / scale, t_max) if scale else t_max
     numerator = _half_capture(t_win)
     denominator = _half_capture(t_max)
     return min(max(numerator / denominator, 0.0), 1.0)

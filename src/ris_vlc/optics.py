@@ -169,18 +169,22 @@ def steering_sine(n_air: float, sin_in: float, grating: float,
 
 def refraction_angle(geom: SteeringGeometry, wave: IncidentWave) -> float:
     """Steered propagation angle of ``wave.order`` inside the slab, in
-    radians.
+    radians; ``EvanescentOrder`` where the order's tangential component
+    is too large to propagate (sine argument >= 1)."""
+    return _refraction(geom.slit_um, geom.n_ris, geom.n_air,
+                       wave.wavelength_nm, wave.incidence_deg, wave.order)
 
-    Raises:
-        EvanescentOrder: the order's tangential component is too large to
-            propagate (sine argument >= 1).
-    """
-    grating = grating_term(wave.order, wave.wavelength_nm, geom.slit_um)
-    s = steering_sine(geom.n_air, math.sin(math.radians(wave.incidence_deg)),
-                      grating, geom.n_ris)
+
+def _refraction(slit_um: float, n_ris: float, n_air: float,
+                wavelength_nm: float, incidence_deg: float,
+                order: int) -> float:
+    """``refraction_angle`` over the field values of its slab and wave."""
+    grating = grating_term(order, wavelength_nm, slit_um)
+    s = steering_sine(n_air, math.sin(math.radians(incidence_deg)), grating,
+                      n_ris)
     if s >= 1.0:
         raise EvanescentOrder(
-            f"order {wave.order} is evanescent: sine argument {s:.6g} >= 1 "
-            f"(lambda={wave.wavelength_nm:g} nm, slit={geom.slit_um:g} um, "
-            f"n_ris={geom.n_ris:g})")
+            f"order {order} is evanescent: sine argument {s:.6g} >= 1 "
+            f"(lambda={wavelength_nm:g} nm, slit={slit_um:g} um, "
+            f"n_ris={n_ris:g})")
     return math.asin(s)

@@ -12,21 +12,24 @@ no cell needs quoting.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import sys
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
 from .bench import compare_table, default_front_end, format_table, table_to_csv
-from .diffraction import Metrics, evaluate, profile_on_pd
+from .diffraction import Metrics, _metrics, evaluate, profile_on_pd
 from .optics import EvanescentOrder, IncidentWave, SteeringGeometry
-from .scenario import _PARAM_FIELD, _WAVE, Scenario, SweepSpec, load_scenario
+from .scenario import (_BOUNDS, _GEOMETRY, _PARAM_FIELD, _WAVE, Scenario,
+                       SweepSpec, load_scenario)
 from .tuning import Actuator, drive_map, solve
 
 __all__ = ["RunReport", "run", "run_bundled", "bundled_scenario_names",
@@ -98,24 +101,34 @@ def _write_profile(fh, positions, members) -> float:
 
 def _write_csv(path: str | Path, header: list[str], lines: Iterable[str]) -> None:
     """Write the file, creating its directory first: every run writes its
-    first artifact here, so a run that fails before it writes nothing."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    first artifact here, so a run that fails before it writes nothing; a
+    file that cannot be opened leaves none of the directories made for it."""
+    parent = Path(path).parent
+    made = list(itertools.takewhile(lambda d: not d.exists(),
+                                    [parent, *parent.parents]))
+    parent.mkdir(parents=True, exist_ok=True)
+    try:
+        fh = open(path, "w", newline="")
+    except OSError:
+        for directory in made:  # innermost first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+    with fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
 
 
-def _apply_override(key: str, value: float, geom: SteeringGeometry,
-                    wave: IncidentWave, actuator: Actuator | None
-                    ) -> tuple[SteeringGeometry, IncidentWave]:
-    """The state with the field ``key`` (a value of ``_PARAM_FIELD``) set
-    to ``value``; ``voltage_v`` drives the actuator over ``geom``."""
-    if key == "voltage_v":
-        apply, _, _ = drive_map(actuator, geom)
-        return apply(value), wave
-    if key in _WAVE:
-        return geom, replace(wave, **{key: value})
-    return replace(geom, **{key: value}), wave
+def _set(fields: dict, key: str, value: float, actuator: Actuator | None
+         ) -> dict:
+    """The field values of a slab and wave with ``key`` set to ``value``,
+    which alone is checked (a log grid can overflow between valid ends);
+    ``voltage_v`` drives the actuator through ``drive_map``."""
+    if key != "voltage_v":
+        _BOUNDS[key].check(key, value)
+        return {**fields, key: value}
+    slab = SteeringGeometry(**{k: fields[k] for k in _GEOMETRY})
+    return {**fields, **vars(drive_map(actuator, slab)[0](value))}
 
 
 def _sweep_grid(spec: SweepSpec) -> list[float]:
@@ -137,22 +150,23 @@ def _run_sweep(sc: Scenario, out_dir: Path) -> tuple[Path, str]:
     header += [*Metrics._fields, *(["tuning_gain"] if spec.baseline else []),
                "error"]
 
+    # A row is the scenario's field values with the curve and swept keys set.
+    fields = {**vars(sc.geometry), **vars(sc.wave)}
     lines: list[str] = []
     n_err = 0
     for cv in curve_values:
         for pv in grid:
             lead = [pv] if cv is None else [cv, pv]
             try:
-                geom, wave = sc.geometry, sc.wave
-                if cv is not None:
-                    geom, wave = _apply_override(curve_key, cv, geom, wave, sc.actuator)
-                geom, wave = _apply_override(key, pv, geom, wave, sc.actuator)
-                m = evaluate(geom, wave)
+                state = (fields if cv is None else
+                         _set(fields, curve_key, cv, sc.actuator))
+                state = _set(state, key, pv, sc.actuator)
+                m = _metrics(**state)
                 row = lead + list(m)
                 if spec.baseline is not None:
-                    base = replace(geom, **dict(spec.baseline))
+                    base = {**state, **dict(spec.baseline)}
                     row.append(m.transmittance
-                               - evaluate(base, wave).transmittance)
+                               - _metrics(**base).transmittance)
                 lines.append(_template(len(row), suffix=",") % tuple(row))
             except _ROW_ERRORS as exc:
                 n_err += 1
@@ -177,10 +191,13 @@ def _run_eval(sc: Scenario, out_dir: Path, stages: dict
     members = []
     if sc.profile is not None:
         key, curve_values = sc.profile.curves or (None, (None,))
+        fields = {**vars(sc.geometry), **vars(sc.wave)}
         for cv in curve_values:
             geom, wave, prefix = sc.geometry, sc.wave, ""
             if cv is not None:
-                geom, wave = _apply_override(key, cv, geom, wave, sc.actuator)
+                state = _set(fields, key, cv, sc.actuator)
+                geom = SteeringGeometry(**{k: state[k] for k in _GEOMETRY})
+                wave = IncidentWave(**{k: state[k] for k in _WAVE})
                 prefix = _CELL % cv + ","
             prof = profile_on_pd(geom, wave, sc.profile.samples)
             members.append((prefix, prof.relative_intensity))

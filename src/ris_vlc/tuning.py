@@ -9,10 +9,9 @@ stated monotone proportionality) and clamp outside their active interval:
   * liquid-crystal cell: n(v) ramps linearly from n_base at the threshold
     voltage to n_base + delta_n at saturation, geometry unchanged.
 
-``drive_map`` is the one place that tells the two forward maps apart: it
-returns an actuator's drive-to-geometry map over a base slab together
-with its active drive interval, for voltage solves, voltage sweeps and
-the rotation bench alike.
+``drive_map`` returns an actuator's drive-to-geometry map over a base
+slab (``_driven_slab`` in plain floats) with its active drive interval,
+for voltage solves, voltage sweeps and the rotation bench alike.
 
 Every inverse solve is closed form: the index and the depth directly,
 a liquid-crystal drive through a slab index (the index ramp is linear in
@@ -31,8 +30,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
-from .diffraction import (first_null_angle, medium_wavelength_nm,
-                          steering_offset_mm)
+from .diffraction import first_null_angle, steering_offset_mm
 from .optics import (BOUNDS as OPTICS_BOUNDS, INDEX_RANGE, NON_NEGATIVE,
                      POSITIVE, Bound, IncidentWave, SteeringGeometry,
                      check_fields, grating_term, interval, refraction_angle,
@@ -175,18 +173,16 @@ def metalens_apply(act: MetaLensActuator, v: float,
 
     ``base`` is the slab at rest, the actuator's own base geometry by
     default.  Drives above v_max clamp to full stretch (with a warning);
-    v = 0 returns the base geometry unchanged.
+    v = 0 gives the base geometry unchanged.
     """
     BOUNDS["voltage_v"].check("drive voltage", v)
     if v > act.v_max_v:
         warnings.warn(f"drive {v:g} V clamped to v_max {act.v_max_v:g} V",
                       stacklevel=2)
         v = act.v_max_v
-    s = 1.0 + v / act.v_max_v * (act.stretch_max - 1.0)
     base = base or act.base_geometry
-    if s == 1.0:
-        return base
-    return replace(base, slit_um=base.slit_um * s, depth_mm=base.depth_mm / s**2)
+    slit, depth, _ = _driven_slab(act, v, base)
+    return replace(base, slit_um=slit, depth_mm=depth)
 
 
 def lc_apply(
@@ -201,8 +197,17 @@ def lc_apply(
     if v > act.v_sat_v:
         warnings.warn(f"drive {v:g} V clamped to saturation {act.v_sat_v:g} V",
                       stacklevel=2)
+    return replace(base, n_ris=_driven_slab(act, v, base)[2])
+
+
+def _driven_slab(act: Actuator, v: float, base: SteeringGeometry
+                 ) -> tuple[float, float, float]:
+    """(slit_um, depth_mm, n_ris) of ``base`` at a drive in the interval."""
+    if isinstance(act, MetaLensActuator):
+        s = 1.0 + v / act.v_max_v * (act.stretch_max - 1.0)
+        return base.slit_um * s, base.depth_mm / s**2, base.n_ris
     level = min(max((v - act.v_on_v) / (act.v_sat_v - act.v_on_v), 0.0), 1.0)
-    return replace(base, n_ris=act.n_base + level * act.delta_n)
+    return base.slit_um, base.depth_mm, act.n_base + level * act.delta_n
 
 
 def drive_map(
@@ -235,39 +240,29 @@ def _evaluate_metric(kind: str, geom: SteeringGeometry, wave: IncidentWave) -> f
 
 
 def _index_for(kind: str, value: float, geom: SteeringGeometry,
-               wave: IncidentWave) -> float:
+               wave: tuple[float, float, int]) -> float:
     """Slab index at which ``geom`` meets the target metric ``value`` of
-    ``kind`` (closed form).
+    ``kind`` (closed form); ``wave`` is (wavelength_nm, incidence_deg, order).
 
     n_ris sin(theta) is symmetric in its two factors, so the steering
     sine with the two swapped gives the index for a refraction angle
     theta; a landing L gives theta = atan(L / y).  A spot width W gives
     n = lambda / (a sin(atan(W / 2y))).
     """
+    wavelength_nm, incidence_deg, order = wave
     if kind == "spot_width":
         sin_null = math.sin(math.atan(value / (2.0 * geom.depth_mm)))
-        return wave.wavelength_nm / (geom.slit_um * 1e3 * sin_null)
+        return wavelength_nm / (geom.slit_um * 1e3 * sin_null)
     theta = (math.radians(value) if kind == "refraction_angle"
              else math.atan(value / geom.depth_mm))
-    grating = grating_term(wave.order, wave.wavelength_nm, geom.slit_um)
-    return steering_sine(geom.n_air, math.sin(math.radians(wave.incidence_deg)),
+    grating = grating_term(order, wavelength_nm, geom.slit_um)
+    return steering_sine(geom.n_air, math.sin(math.radians(incidence_deg)),
                          grating, math.sin(theta))
 
 
-def _lc_drive(act: LiquidCrystalActuator, kind: str, value: float,
-              geom: SteeringGeometry, wave: IncidentWave) -> float:
-    """Drive at which the liquid-crystal cell over ``geom`` meets the
-    target metric ``value`` (closed form): the inverse of the linear
-    index ramp at the index ``_index_for`` gives, clamped to
-    [v_on, v_sat]."""
-    n = _index_for(kind, value, geom, wave)
-    level = (n - act.n_base) / act.delta_n
-    v = act.v_on_v + level * (act.v_sat_v - act.v_on_v)
-    return min(max(v, act.v_on_v), act.v_sat_v)
-
-
 def _metalens_drive(act: MetaLensActuator, kind: str, value: float,
-                    base: SteeringGeometry, wave: IncidentWave) -> float:
+                    base: SteeringGeometry, wave: tuple[float, float, int]
+                    ) -> float:
     """Drive at which the meta-lens over ``base`` meets the target metric
     ``value``, which lies strictly between the metrics at either end of
     the drive interval.
@@ -285,14 +280,15 @@ def _metalens_drive(act: MetaLensActuator, kind: str, value: float,
     [0, v_max].
     """
     s_max, y, n = act.stretch_max, base.depth_mm, base.n_ris
-    a_term = base.n_air * math.sin(math.radians(wave.incidence_deg))
-    b_term = grating_term(wave.order, wave.wavelength_nm, base.slit_um)
+    wavelength_nm, incidence_deg, order = wave
+    a_term = base.n_air * math.sin(math.radians(incidence_deg))
+    b_term = grating_term(order, wavelength_nm, base.slit_um)
     if kind == "refraction_angle":
         s = b_term / (n * math.sin(math.radians(value)) - a_term)
     else:
         if kind == "spot_width":
             a_term, n, value = 0.0, 1.0, value / 2.0
-            b_term = medium_wavelength_nm(base, wave) / (base.slit_um * 1e3)
+            b_term = wavelength_nm / base.n_ris / (base.slit_um * 1e3)
         lo, q = 1.0 / s_max, 1.0
         hi = q
         while True:
@@ -321,31 +317,39 @@ def _metalens_drive(act: MetaLensActuator, kind: str, value: float,
 
 
 def solve_voltage(target: DesignTarget, actuator: Actuator) -> float:
-    """Drive voltage meeting the target metric.
-
-    The forward pipeline (apply actuator, evaluate the target kind) is
-    evaluated at both ends of the drive interval, [0, v_max] for the
-    meta-lens or [v_on, v_sat] for the liquid-crystal cell.  A target
-    more than 1e-6 relative outside the metrics there is Infeasible; one
-    within that slack of an end gets the end drive.  Any other drive
-    follows in closed form: ``_lc_drive`` or ``_metalens_drive``.
-    """
+    """Drive voltage meeting the target metric, solved by ``_drive``
+    between the metrics at both ends of the drive interval, [0, v_max]
+    for the meta-lens or [v_on, v_sat] for the liquid-crystal cell."""
     apply, lo, hi = drive_map(actuator, target.geometry)
-    kind, value, wave = target.kind, target.value, target.wave
+    kind, wave = target.kind, target.wave
     ends = [_evaluate_metric(kind, apply(v), wave) for v in (lo, hi)]
+    return _drive(actuator, kind, target.value, target.geometry, (lo, hi),
+                  ends, (wave.wavelength_nm, wave.incidence_deg, wave.order))
+
+
+def _drive(actuator: Actuator, kind: str, value: float,
+           geom: SteeringGeometry | None, drives: tuple[float, float],
+           ends: list[float], wave: tuple[float, float, int]) -> float:
+    """Drive meeting the target from the metrics ``ends`` at the two
+    ``drives`` that bound the interval: Infeasible more than 1e-6 relative
+    outside them, the end drive within that slack of an end, else closed
+    form (the inverted index ramp, or ``_metalens_drive``)."""
     lo_val, hi_val = min(ends), max(ends)
     slack = 1e-6 * value
     if not lo_val - slack <= value <= hi_val + slack:
         raise Infeasible(
             f"target {value:.9g} outside achievable interval "
             f"[{lo_val:.9g}, {hi_val:.9g}]", achievable=(lo_val, hi_val))
-    for v, metric in zip((lo, hi), ends):
+    for v, metric in zip(drives, ends):
         if abs(metric - value) <= slack:
             return v
     if isinstance(actuator, LiquidCrystalActuator):
-        return _lc_drive(actuator, kind, value, target.geometry, wave)
+        n = _index_for(kind, value, geom, wave)
+        level = (n - actuator.n_base) / actuator.delta_n
+        v = actuator.v_on_v + level * (actuator.v_sat_v - actuator.v_on_v)
+        return min(max(v, actuator.v_on_v), actuator.v_sat_v)
     return _metalens_drive(actuator, kind, value,
-                           target.geometry or actuator.base_geometry, wave)
+                           geom or actuator.base_geometry, wave)
 
 
 def solve(target: DesignTarget,
@@ -365,7 +369,8 @@ def solve(target: DesignTarget,
     """
     geom, wave = target.geometry, target.wave
     if target.free == "n_ris":
-        solved = _index_for(target.kind, target.value, geom, wave)
+        solved = _index_for(target.kind, target.value, geom, (
+            wave.wavelength_nm, wave.incidence_deg, wave.order))
         if not OPTICS_BOUNDS["n_ris"].ok(solved):
             lo, hi = INDEX_RANGE
             raise OutOfMaterialRange(f"required index {solved:.6g} outside "

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -112,6 +114,20 @@ class TestRotationSweep:
         assert angles[0] == 0.0 and angles[-1] == 90.0
         assert all(0.0 <= a <= 90.0 for a in angles)
 
+    @pytest.mark.parametrize("step", [0.9, 0.3, 1.5, 45.0, 90.0])
+    def test_step_dividing_ninety_ends_on_ninety_once(self, step):
+        angles = rotation_sweep(default_front_end("convex"), step).angles_deg
+        assert len(angles) == round(90.0 / step) + 1
+        assert angles[-1] == 90.0
+        assert len(set(angles)) == len(angles)
+
+    def test_count_tolerance_keeps_a_rotation_just_short_of_ninety(self):
+        """90 / step is 2 + 5e-10, inside the count's 1e-9 slack: the grid
+        keeps 2 * step, 2.25e-8 deg short of 90, and then adds 90."""
+        step = 90.0 / (2 + 5e-10)
+        angles = rotation_sweep(default_front_end("convex"), step).angles_deg
+        assert angles == (0.0, 44.99999998875, 89.9999999775, 90.0)
+
     def test_fractional_step_hits_envelope_edge(self):
         sweep = rotation_sweep(default_front_end("convex"), 0.1)
         detected_angles = [a for a, d in zip(sweep.angles_deg, sweep.detected) if d]
@@ -161,6 +177,19 @@ class TestCompareTable:
             < by_kind["cmbbp"] < by_kind["metalens_ris"]
         assert by_kind["cmbbp"] < by_kind["lc_ris"]
         assert by_kind["metalens_ris"] == by_kind["lc_ris"] == 90.0
+
+    def test_mean_is_the_left_to_right_sum(self):
+        """On every Python: ``sum`` is compensated from 3.12 on, and on
+        this roster that sum differs from the left-to-right one for every
+        kind."""
+        roster = [default_front_end(kind) for kind in KINDS]
+        for fe, row in zip(roster, compare_table(roster, 1.0)):
+            sweep = rotation_sweep(fe, 1.0)
+            cells = [i for i, d in zip(sweep.relative_intensity,
+                                       sweep.detected) if d]
+            total = functools.reduce(operator.add, cells, 0.0)
+            assert total != math.fsum(cells)
+            assert row.mean_intensity == total / len(cells)
 
     def test_empty_roster(self):
         assert compare_table([], 1.0) == []

@@ -389,12 +389,13 @@ def test_evaluate_finds_the_refraction_angle_once(monkeypatch):
     from ris_vlc import diffraction
 
     calls = []
-    real = diffraction.refraction_angle
-    monkeypatch.setattr(diffraction, "refraction_angle",
-                        lambda g, w: calls.append(1) or real(g, w))
+    real = diffraction._refraction
+    monkeypatch.setattr(diffraction, "_refraction",
+                        lambda *fields: calls.append(1) or real(*fields))
     m = evaluate(geom(), wave(order=1))
     assert len(calls) == 1
-    assert m.refraction_angle_deg == math.degrees(real(geom(), wave(order=1)))
+    assert m.refraction_angle_deg == math.degrees(
+        diffraction.refraction_angle(geom(), wave(order=1)))
 
 
 def test_import_leaves_scipy_out():

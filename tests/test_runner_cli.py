@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from ris_vlc.cli import _build_parser, main
 from ris_vlc import _g17
 from ris_vlc import runner
 from ris_vlc.diffraction import profile_on_pd
+from ris_vlc.optics import IncidentWave, SteeringGeometry
 from ris_vlc.runner import (_CELL, _CHUNK_ROWS, _template, _write_csv,
                             _write_profile, bundled_scenario_names,
                             bundled_scenario_path, run, run_bundled)
@@ -191,8 +193,10 @@ class TestRunner:
                   "voltage_v": (3.0, 4.5)}[key]
         positions = []
         for value in values:
-            geom, wave = runner._apply_override(key, value, sc.geometry,
-                                                sc.wave, sc.actuator)
+            state = runner._set({**vars(sc.geometry), **vars(sc.wave)}, key,
+                                value, sc.actuator)
+            geom = SteeringGeometry(**{k: state[k] for k in runner._GEOMETRY})
+            wave = IncidentWave(**{k: state[k] for k in runner._WAVE})
             positions.append(profile_on_pd(geom, wave, 101).positions_mm)
         assert np.array_equal(*positions)
 
@@ -344,6 +348,22 @@ class TestCli:
         (violation,) = record["violations"]
         assert violation.startswith("name: ")
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_name_too_long_for_the_file_system_leaves_nothing(self, tmp_path,
+                                                              capsys):
+        """The name rule admits 250 characters (the limit depends on the
+        file system), and the first artifact cannot then be opened: the run
+        exits 4 and removes every directory it made for it."""
+        path = write_scenario(tmp_path, minimal() | {"name": "n" * 250})
+        for out in (tmp_path / "new" / "inner", tmp_path / "kept" / "inner"):
+            code = main(["eval", "--scenario", str(path), "--out", str(out)])
+            assert code == 4
+            record = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert record["error"] == "OSError"
+            assert "File name too long" in record["message"]
+            (tmp_path / "kept").mkdir(exist_ok=True)
+        assert sorted(tmp_path.iterdir()) == [path, tmp_path / "kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
 
     @pytest.mark.parametrize("text, message", [
         (b'{"name": "\xff"}', "parse error: 'utf-8' codec can't decode byte "
@@ -956,3 +976,140 @@ def test_scenario_cli_contract(mode, mutations, expect):
             lines = text.splitlines()
             assert text.endswith("\n") and len(lines) >= 2
             assert {line.count(",") for line in lines} == {lines[0].count(",")}
+
+
+# Sweep values within each swept or curve field's bound, with clamping
+# drives, grazing incidences and depths a stretch takes to 0 among them.
+_SWEPT = {"wavelength_nm": st.floats(200.0, 2000.0),
+          "n_ris": st.floats(1.0, 2.5, exclude_min=True),
+          "depth_mm": st.floats(1e-3, 10.0) | st.sampled_from([5e-324,
+                                                               1e-310]),
+          "incidence_deg": st.floats(0.0, 90.0),
+          "voltage_v": st.floats(0.0, 1500.0)}
+_SWEEP_ACTUATORS = [None, {"preset": "lc-sun2019"}, LC, METALENS,
+                    {"type": "metalens", "v_max_v": 10.0,
+                     "stretch_max": 3.0}]
+
+
+@st.composite
+def sweep_scenarios(draw):
+    """Valid sweep scenario dicts: every parameter, with or without a
+    curve family and a gain baseline, linear or log spaced."""
+    # slits narrower than the wavelength raise the horizon tail warning
+    data = {"geometry": {"slit_um": draw(st.floats(0.01, 0.5)
+                                         | st.floats(0.2, 200.0)),
+                         "depth_mm": draw(st.floats(1e-3, 10.0)),
+                         "pd_length_mm": draw(st.floats(0.05, 2.0)),
+                         "n_ris": draw(st.floats(1.0, 2.5, exclude_min=True)),
+                         "n_air": draw(st.sampled_from([1.0, 1.0007]))},
+            "wave": {"wavelength_nm": draw(st.floats(200.0, 2000.0)),
+                     "incidence_deg": draw(st.floats(0.0, 90.0)),
+                     "power_w": draw(st.floats(0.0, 5.0)),
+                     "order": draw(st.integers(0, 3))}}
+    actuator = draw(st.sampled_from(_SWEEP_ACTUATORS))
+    keys = list(CURVE_KEYS)
+    if actuator is not None:
+        data["actuator"] = actuator
+    else:
+        keys.remove("voltage_v")
+    key = draw(st.sampled_from(keys))
+    parameter = {v: k for k, v in runner._PARAM_FIELD.items()}[key]
+    suffix = {"wavelength": "nm", "n_ris": "index", "depth": "mm",
+              "incidence": "deg", "voltage": "v"}[parameter]
+    start, stop = sorted(draw(st.lists(_SWEPT[key], min_size=2, max_size=2,
+                                       unique=True)))
+    sweep = {"parameter": parameter, f"from_{suffix}": start,
+             f"to_{suffix}": stop, "steps": draw(st.integers(2, 5))}
+    if start > 0 and draw(st.booleans()):
+        sweep["spacing"] = "log"
+    curve_keys = [k for k in keys if k != key]
+    if draw(st.booleans()):
+        curve_key = draw(st.sampled_from(curve_keys))
+        sweep["curves"] = {curve_key: draw(st.lists(
+            _SWEPT[curve_key], min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        sweep["baseline"] = draw(st.fixed_dictionaries({}, optional={
+            "depth_mm": _SWEPT["depth_mm"], "n_ris": _SWEPT["n_ris"],
+            "slit_um": st.floats(0.2, 200.0)}).filter(bool))
+    data["sweep"] = sweep
+    return data
+
+
+def object_model_sweep(sc):
+    """The sweep's CSV rows and warning counts computed the way the
+    runner did before its rows became field values: each curve and swept
+    value set on the value objects with ``dataclasses.replace`` (or
+    driven through ``drive_map``), which checks every field again, and
+    the row from ``evaluate``."""
+    from dataclasses import replace
+
+    from ris_vlc.diffraction import evaluate
+    from ris_vlc.optics import EvanescentOrder
+    from ris_vlc.tuning import drive_map
+
+    def override(key, value, geom, wave):
+        if key == "voltage_v":
+            apply, _, _ = drive_map(sc.actuator, geom)
+            return apply(value), wave
+        if key in ("wavelength_nm", "incidence_deg"):
+            return geom, replace(wave, **{key: value})
+        return replace(geom, **{key: value}), wave
+
+    spec = sc.sweep
+    curve_key, curve_values = spec.curves or (None, (None,))
+    key = runner._PARAM_FIELD[spec.parameter]
+    width = 1 + bool(curve_key) + 7 + bool(spec.baseline) + 1
+    lines = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for cv in curve_values:
+            for pv in runner._sweep_grid(spec):
+                lead = [pv] if cv is None else [cv, pv]
+                try:
+                    geom, wave = sc.geometry, sc.wave
+                    if cv is not None:
+                        geom, wave = override(curve_key, cv, geom, wave)
+                    geom, wave = override(key, pv, geom, wave)
+                    m = evaluate(geom, wave)
+                    row = lead + list(m)
+                    if spec.baseline is not None:
+                        base = replace(geom, **dict(spec.baseline))
+                        row.append(m.transmittance
+                                   - evaluate(base, wave).transmittance)
+                    lines.append(_template(len(row), suffix=",") % tuple(row))
+                except (EvanescentOrder, ValueError) as exc:
+                    tail = "," * (width - len(lead)) + type(exc).__name__
+                    lines.append(_template(len(lead), suffix=tail)
+                                 % tuple(lead))
+    return lines, Counter(str(w.message) for w in caught)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=sweep_scenarios())
+@example(data={  # a depth the stretch takes to 0 fails with ValueError
+    "geometry": {"slit_um": 4.0, "depth_mm": 0.75, "pd_length_mm": 1.0,
+                 "n_ris": 1.5},
+    "wave": {"wavelength_nm": 550.0, "incidence_deg": 10.0},
+    "actuator": METALENS,
+    "sweep": {"parameter": "voltage", "from_v": 0.0, "to_v": 1200.0,
+              "steps": 4, "curves": {"depth_mm": [0.75, 5e-324]},
+              "baseline": {"depth_mm": 0.5}}})
+@example(data={  # a log grid whose ratio overflows: inf rows, ValueError
+    "geometry": {"slit_um": 0.5, "depth_mm": 1.0, "pd_length_mm": 1.0,
+                 "n_ris": 2.0},
+    "wave": {"wavelength_nm": 550.0, "incidence_deg": 0.0},
+    "sweep": {"parameter": "depth", "from_mm": 5e-324, "to_mm": 10.0,
+              "steps": 4, "spacing": "log"}})
+def test_sweep_rows_equal_the_object_model(data):
+    """Every row of a validated sweep, set by field name and evaluated
+    without re-validation, has the cells of ``evaluate`` over value
+    objects bit for bit; a failing row has the same error class, and the
+    sidecar counts the same warnings."""
+    sc = scenario_from_dict(data, name="rows")
+    want, counted = object_model_sweep(sc)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run(sc, tmp, quiet=True)
+        lines = (Path(tmp) / "rows_sweep.csv").read_text().splitlines(True)
+        assert lines[1:] == want
+        assert sidecar_warnings(Path(tmp), "rows") == counted
