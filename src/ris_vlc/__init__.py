@@ -7,12 +7,10 @@ from .optics import (Angle, EvanescentOrder, IncidentWave, SteeringGeometry,
                      refraction_angle)
 from .diffraction import (IntensityProfile, Metrics, NullBeyondHorizon,
                           evaluate, first_null_angle, medium_wavelength_nm,
-                          pattern_power_fraction, profile_on_pd,
-                          steering_offset_mm)
+                          profile_on_pd, steering_offset_mm)
 from .tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                      MetaLensActuator, OutOfMaterialRange, actuator_preset,
-                     drive_map, lc_apply, metalens_apply, solve,
-                     solve_voltage)
+                     drive, solve, solve_voltage)
 from .bench import (FrontEndSummary, ReceiverFrontEnd, RotationSweepResult,
                     compare_table, default_front_end, format_table,
                     rotation_sweep, table_to_csv)

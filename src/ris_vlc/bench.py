@@ -25,7 +25,7 @@ from .optics import (BOUNDS as OPTICS_BOUNDS, POSITIVE, Angle,
                      steering_sine)
 from .diffraction import _capture, _incidence_factor
 from .tuning import (Actuator, Infeasible, MetaLensActuator, _drive,
-                     _driven_slab, actuator_preset, drive_map)
+                     _driven_slab, _interval, actuator_preset, drive)
 
 __all__ = [
     "KINDS",
@@ -198,8 +198,7 @@ def _sweep(fe: ReceiverFrontEnd, grid: tuple[list[float], ...]
         return [True] * hits + [False] * misses, intensity
     detected, intensity = [False] * len(angles), [0.0] * len(angles)
     act, lam = fe.actuator, fe.wavelength_nm
-    apply, v_rest, v_full = drive_map(act, fe.geometry)
-    rest, full = apply(v_rest), apply(v_full)
+    rest, full = (drive(act, v, fe.geometry) for v in _interval(act))
     g_rest, g_full = (grating_term(1, lam, s.slit_um) for s in (rest, full))
     half, rest_capture = rest.pd_length_mm / 2, None
     for i in range(hits):
@@ -215,7 +214,7 @@ def _sweep(fe: ReceiverFrontEnd, grid: tuple[list[float], ...]
         landing_rest = rest.depth_mm * math.tan(math.asin(sine_rest))
         if landing_rest > half:
             try:
-                v = _drive(act, "pd_landing", half, rest, (v_rest, v_full),
+                v = _drive(act, "pd_landing", half, rest,
                            [landing_rest, landing_full], (lam, angles[i], 1))
             except Infeasible:
                 continue

@@ -57,7 +57,6 @@ __all__ = [
     "first_null_angle",
     "profile_on_pd",
     "evaluate",
-    "pattern_power_fraction",
 ]
 
 # Truncation horizon for the "infinite" detector-plane normalisation.
@@ -243,30 +242,16 @@ def _half_capture(t: float) -> float:
     return (_sine_integral(2.0 * pt) - sin2 / pt) / math.pi
 
 
-def pattern_power_fraction(
-    geom: SteeringGeometry,
-    wave: IncidentWave,
-    window_halfwidth_mm: float,
-) -> float:
+def _capture(slit_um: float, depth_mm: float, n_ris: float,
+             wavelength_nm: float, half_mm: float) -> float:
     """Fraction of the pattern's plane-integrated power inside a window
-    centred on the pattern centre.
+    of half-width ``half_mm`` > 0 centred on the pattern centre.
 
     Both the window integral and the horizon-truncated normalisation use
     the closed-form sinc^2 integral (see the module capture convention);
     the result is nondecreasing in the window size, to rounding, and
-    bounded by [0, 1].
+    bounded by [0, 1].  The tail-bound warning names the caller.
     """
-    if not window_halfwidth_mm > 0:
-        raise ValueError(
-            f"window_halfwidth_mm must be > 0, got {window_halfwidth_mm}")
-    return _capture(geom.slit_um, geom.depth_mm, geom.n_ris,
-                    wave.wavelength_nm, window_halfwidth_mm, stacklevel=3)
-
-
-def _capture(slit_um: float, depth_mm: float, n_ris: float,
-             wavelength_nm: float, half_mm: float, stacklevel: int = 2) -> float:
-    """``pattern_power_fraction`` over field values and a half-width > 0;
-    the tail-bound warning is raised ``stacklevel`` frames up."""
     lam_m_mm = wavelength_nm / n_ris * 1e-6
     slit_mm = slit_um * 1e-3
     # First-null distance and horizon t_max = tan(horizon) a / lambda_m,
@@ -279,7 +264,7 @@ def _capture(slit_um: float, depth_mm: float, n_ris: float,
     if tail_bound > _TAIL_WARN:
         warnings.warn(
             f"normalisation tail beyond the 89.9 deg horizon bounded by "
-            f"{tail_bound:.2e} of total power", stacklevel=stacklevel)
+            f"{tail_bound:.2e} of total power", stacklevel=2)
     if scale == math.inf or t_max < sys.float_info.min:
         # t_win / t_max is the window's share of the horizon, and the
         # capture where sinc^2 is flat out to the horizon

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import sys
 import time
 import warnings
@@ -30,7 +31,7 @@ from .diffraction import Metrics, _metrics, evaluate, profile_on_pd
 from .optics import EvanescentOrder, IncidentWave, SteeringGeometry
 from .scenario import (_BOUNDS, _GEOMETRY, _PARAM_FIELD, _WAVE, Scenario,
                        SweepSpec, load_scenario)
-from .tuning import Actuator, drive_map, solve
+from .tuning import Actuator, drive, solve
 
 __all__ = ["RunReport", "run", "run_bundled", "bundled_scenario_names",
            "bundled_scenario_path"]
@@ -122,19 +123,24 @@ def _write_csv(path: str | Path, header: list[str], lines: Iterable[str]) -> Non
 def _set(fields: dict, key: str, value: float, actuator: Actuator | None
          ) -> dict:
     """The field values of a slab and wave with ``key`` set to ``value``,
-    which alone is checked (a log grid can overflow between valid ends);
-    ``voltage_v`` drives the actuator through ``drive_map``."""
+    which alone is checked (a swept value is computed, not given);
+    ``voltage_v`` drives the actuator through ``tuning.drive``."""
     if key != "voltage_v":
         _BOUNDS[key].check(key, value)
         return {**fields, key: value}
     slab = SteeringGeometry(**{k: fields[k] for k in _GEOMETRY})
-    return {**fields, **vars(drive_map(actuator, slab)[0](value))}
+    return {**fields, **vars(drive(actuator, value, slab))}
 
 
 def _sweep_grid(spec: SweepSpec) -> list[float]:
     n = spec.steps
     if spec.spacing == "log":
         ratio = (spec.stop / spec.start) ** (1.0 / (n - 1))
+        if ratio == math.inf:  # stop / start overflows: space the logs
+            lo = math.log(spec.start)
+            step = (math.log(spec.stop) - lo) / (n - 1)
+            inner = [math.exp(lo + step * k) for k in range(1, n - 1)]
+            return [spec.start, *inner, spec.stop]
         return [spec.start * ratio ** k for k in range(n - 1)] + [spec.stop]
     step = (spec.stop - spec.start) / (n - 1)
     return [spec.start + step * k for k in range(n - 1)] + [spec.stop]

@@ -9,9 +9,9 @@ stated monotone proportionality) and clamp outside their active interval:
   * liquid-crystal cell: n(v) ramps linearly from n_base at the threshold
     voltage to n_base + delta_n at saturation, geometry unchanged.
 
-``drive_map`` returns an actuator's drive-to-geometry map over a base
-slab (``_driven_slab`` in plain floats) with its active drive interval,
-for voltage solves, voltage sweeps and the rotation bench alike.
+``drive`` is the one voltage -> slab map, for voltage solves, voltage
+sweeps and the rotation bench alike; the bench's solved rotations take
+its plain-float body, ``_driven_slab``, directly.
 
 Every inverse solve is closed form: the index and the depth directly,
 a liquid-crystal drive through a slab index (the index ramp is linear in
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Union
 
 from .diffraction import first_null_angle, steering_offset_mm
 from .optics import (BOUNDS as OPTICS_BOUNDS, INDEX_RANGE, NON_NEGATIVE,
@@ -43,9 +43,7 @@ __all__ = [
     "LiquidCrystalActuator",
     "Actuator",
     "DesignTarget",
-    "metalens_apply",
-    "lc_apply",
-    "drive_map",
+    "drive",
     "solve_voltage",
     "solve",
     "actuator_preset",
@@ -97,7 +95,7 @@ class MetaLensActuator:
     def __post_init__(self) -> None:
         check_fields(self, BOUNDS, "v_max_v", "stretch_max")
         try:
-            metalens_apply(self, self.v_max_v)
+            drive(self, self.v_max_v)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"stretch_max {self.stretch_max:g} leaves no "
                              f"valid slab at full stretch") from exc
@@ -167,37 +165,36 @@ class DesignTarget:
                              f"targets, got kind {kind!r}")
 
 
-def metalens_apply(act: MetaLensActuator, v: float,
-                   base: SteeringGeometry | None = None) -> SteeringGeometry:
-    """Geometry after driving the meta-lens at ``v`` volts.
+def _interval(actuator: Actuator) -> tuple[float, float]:
+    """The active drive interval: [0, v_max] for the meta-lens and
+    [v_on, v_sat] for the liquid-crystal cell."""
+    if isinstance(actuator, MetaLensActuator):
+        return 0.0, actuator.v_max_v
+    if isinstance(actuator, LiquidCrystalActuator):
+        return actuator.v_on_v, actuator.v_sat_v
+    raise ValueError(f"voltage drive requires an actuator, got {actuator!r}")
 
-    ``base`` is the slab at rest, the actuator's own base geometry by
-    default.  Drives above v_max clamp to full stretch (with a warning);
-    v = 0 gives the base geometry unchanged.
+
+def drive(actuator: Actuator, v: float,
+          base: SteeringGeometry | None = None) -> SteeringGeometry:
+    """Geometry of the slab at rest, ``base``, driven at ``v`` volts.
+
+    ``base`` replaces the meta-lens's own base geometry and is required
+    for the liquid-crystal cell.  A drive above the active interval
+    (``_interval``) clamps to its top, with a warning.
     """
+    top = _interval(actuator)[1]
+    if base is None and isinstance(actuator, LiquidCrystalActuator):
+        raise ValueError("liquid-crystal drive requires a base geometry")
+    base = base or actuator.base_geometry
     BOUNDS["voltage_v"].check("drive voltage", v)
-    if v > act.v_max_v:
-        warnings.warn(f"drive {v:g} V clamped to v_max {act.v_max_v:g} V",
-                      stacklevel=2)
-        v = act.v_max_v
-    base = base or act.base_geometry
-    slit, depth, _ = _driven_slab(act, v, base)
-    return replace(base, slit_um=slit, depth_mm=depth)
-
-
-def lc_apply(
-    act: LiquidCrystalActuator, v: float, base: SteeringGeometry
-) -> SteeringGeometry:
-    """Geometry after driving the liquid-crystal cell at ``v`` volts.
-
-    The index is flat at n_base below the threshold voltage by design;
-    drives above saturation clamp (with a warning).
-    """
-    BOUNDS["voltage_v"].check("drive voltage", v)
-    if v > act.v_sat_v:
-        warnings.warn(f"drive {v:g} V clamped to saturation {act.v_sat_v:g} V",
-                      stacklevel=2)
-    return replace(base, n_ris=_driven_slab(act, v, base)[2])
+    if v > top:
+        limit = ("v_max" if isinstance(actuator, MetaLensActuator)
+                 else "saturation")
+        warnings.warn(f"drive {v:g} V clamped to {limit} {top:g} V")
+        v = top
+    slit, depth, n_ris = _driven_slab(actuator, v, base)
+    return replace(base, slit_um=slit, depth_mm=depth, n_ris=n_ris)
 
 
 def _driven_slab(act: Actuator, v: float, base: SteeringGeometry
@@ -208,27 +205,6 @@ def _driven_slab(act: Actuator, v: float, base: SteeringGeometry
         return base.slit_um * s, base.depth_mm / s**2, base.n_ris
     level = min(max((v - act.v_on_v) / (act.v_sat_v - act.v_on_v), 0.0), 1.0)
     return base.slit_um, base.depth_mm, act.n_base + level * act.delta_n
-
-
-def drive_map(
-    actuator: Actuator, base: SteeringGeometry | None = None
-) -> tuple[Callable[[float], SteeringGeometry], float, float]:
-    """(apply, v_lo, v_hi): the geometry at a drive voltage and the active
-    drive interval, [0, v_max] for the meta-lens and [v_on, v_sat] for
-    the liquid-crystal cell.
-
-    ``base`` is the slab at rest.  It replaces the meta-lens's own base
-    geometry and is required for the liquid-crystal cell.
-    """
-    if isinstance(actuator, MetaLensActuator):
-        return (lambda v: metalens_apply(actuator, v, base),
-                0.0, actuator.v_max_v)
-    if not isinstance(actuator, LiquidCrystalActuator):
-        raise ValueError(f"voltage drive requires an actuator, got {actuator!r}")
-    if base is None:
-        raise ValueError("liquid-crystal drive requires a base geometry")
-    return (lambda v: lc_apply(actuator, v, base),
-            actuator.v_on_v, actuator.v_sat_v)
 
 
 def _evaluate_metric(kind: str, geom: SteeringGeometry, wave: IncidentWave) -> float:
@@ -320,27 +296,27 @@ def solve_voltage(target: DesignTarget, actuator: Actuator) -> float:
     """Drive voltage meeting the target metric, solved by ``_drive``
     between the metrics at both ends of the drive interval, [0, v_max]
     for the meta-lens or [v_on, v_sat] for the liquid-crystal cell."""
-    apply, lo, hi = drive_map(actuator, target.geometry)
-    kind, wave = target.kind, target.wave
-    ends = [_evaluate_metric(kind, apply(v), wave) for v in (lo, hi)]
-    return _drive(actuator, kind, target.value, target.geometry, (lo, hi),
-                  ends, (wave.wavelength_nm, wave.incidence_deg, wave.order))
+    geom, kind, wave = target.geometry, target.kind, target.wave
+    ends = [_evaluate_metric(kind, drive(actuator, v, geom), wave)
+            for v in _interval(actuator)]
+    return _drive(actuator, kind, target.value, geom, ends,
+                  (wave.wavelength_nm, wave.incidence_deg, wave.order))
 
 
 def _drive(actuator: Actuator, kind: str, value: float,
-           geom: SteeringGeometry | None, drives: tuple[float, float],
-           ends: list[float], wave: tuple[float, float, int]) -> float:
-    """Drive meeting the target from the metrics ``ends`` at the two
-    ``drives`` that bound the interval: Infeasible more than 1e-6 relative
-    outside them, the end drive within that slack of an end, else closed
-    form (the inverted index ramp, or ``_metalens_drive``)."""
+           geom: SteeringGeometry | None, ends: list[float],
+           wave: tuple[float, float, int]) -> float:
+    """Drive meeting the target from the metrics ``ends`` at the two ends
+    of the drive interval: Infeasible more than 1e-6 relative outside
+    them, the end drive within that slack of an end, else closed form
+    (the inverted index ramp, or ``_metalens_drive``)."""
     lo_val, hi_val = min(ends), max(ends)
     slack = 1e-6 * value
     if not lo_val - slack <= value <= hi_val + slack:
         raise Infeasible(
             f"target {value:.9g} outside achievable interval "
             f"[{lo_val:.9g}, {hi_val:.9g}]", achievable=(lo_val, hi_val))
-    for v, metric in zip(drives, ends):
+    for v, metric in zip(_interval(actuator), ends):
         if abs(metric - value) <= slack:
             return v
     if isinstance(actuator, LiquidCrystalActuator):
@@ -386,8 +362,7 @@ def solve(target: DesignTarget,
         state = replace(geom, depth_mm=solved)
     else:
         solved = solve_voltage(target, actuator)
-        apply, _, _ = drive_map(actuator, geom)
-        state = apply(solved)
+        state = drive(actuator, solved, geom)
     return solved, _evaluate_metric(target.kind, state, wave)
 
 

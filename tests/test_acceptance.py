@@ -9,19 +9,18 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ris_vlc.bench import KINDS, RIS_KINDS, default_front_end, rotation_sweep
-from ris_vlc.diffraction import (evaluate, first_null_angle,
-                                 pattern_power_fraction, profile_on_pd)
+from ris_vlc.diffraction import evaluate, first_null_angle, profile_on_pd
 from ris_vlc.optics import (EvanescentOrder, IncidentWave,
                             SteeringGeometry, refraction_angle)
 from ris_vlc.runner import run
 from ris_vlc.scenario import scenario_from_dict
 from ris_vlc.tuning import (DesignTarget, LiquidCrystalActuator,
-                            MetaLensActuator, lc_apply, metalens_apply,
-                            solve, solve_voltage)
+                            MetaLensActuator, drive, solve, solve_voltage)
 
 TAN_HORIZON = math.tan(math.radians(89.9))
 # numpy >= 2.0 spells it trapezoid, numpy 1.x trapz
@@ -130,7 +129,7 @@ def test_criterion_4_diffraction_oracle():
     u_den = np.linspace(0.0, u_max, 1_000_001)
     brute = (trapezoid(np.sinc(u_num / scale) ** 2, u_num)
              / trapezoid(np.sinc(u_den / scale) ** 2, u_den))
-    adaptive = pattern_power_fraction(g, w, half)
+    adaptive = evaluate(replace(g, pd_length_mm=2 * half), w).pd_coverage
     if abs(adaptive - 0.9028) > 5e-4:
         problems.append(f"adaptive central-lobe fraction {adaptive:.6f}")
     if abs(brute - 0.9028) > 5e-4:
@@ -270,10 +269,10 @@ def test_criterion_7_inverse_solver_round_trips():
     for _ in range(500):  # liquid-crystal voltage solves
         v0 = rng.uniform(3.0, 5.0)
         w = wave(rng.uniform(300.0, 1500.0), rng.uniform(20.0, 90.0))
-        value = math.degrees(refraction_angle(lc_apply(lc, v0, base), w))
+        value = math.degrees(refraction_angle(drive(lc, v0, base), w))
         target = DesignTarget("refraction_angle", value, w, base, "voltage")
         v_hat = solve_voltage(target, lc)
-        achieved = math.degrees(refraction_angle(lc_apply(lc, v_hat, base), w))
+        achieved = math.degrees(refraction_angle(drive(lc, v_hat, base), w))
         if abs(achieved - value) > 1e-6 * value:
             problems.append(f"lc voltage target missed: {value} vs {achieved}")
 
@@ -282,11 +281,11 @@ def test_criterion_7_inverse_solver_round_trips():
     for _ in range(500):  # meta-lens voltage solves
         v0 = rng.uniform(0.0, 1000.0)
         w = wave(rng.uniform(300.0, 1500.0), rng.uniform(10.0, 90.0))
-        state = metalens_apply(lens, v0)
+        state = drive(lens, v0)
         value = state.depth_mm * math.tan(refraction_angle(state, w))
         target = DesignTarget("pd_landing", value, w, None, "voltage")
         v_hat = solve_voltage(target, lens)
-        state2 = metalens_apply(lens, v_hat)
+        state2 = drive(lens, v_hat)
         achieved = state2.depth_mm * math.tan(refraction_angle(state2, w))
         if abs(achieved - value) > 1e-6 * value:
             problems.append(f"lens voltage target missed: {value} vs {achieved}")

@@ -15,7 +15,8 @@ from ris_vlc.diffraction import evaluate, steering_offset_mm
 from ris_vlc.optics import (Angle, EvanescentOrder, IncidentWave,
                             SteeringGeometry)
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
-                            MetaLensActuator, drive_map, solve_voltage)
+                            MetaLensActuator, _interval, drive,
+                            solve_voltage)
 
 
 def deg(value):
@@ -267,8 +268,8 @@ def object_model_detect(fe, angle_deg):
             start, edge = fe.rolloff_start.degrees, fe.max_incidence.degrees
             intensity *= 1.0 - 0.5 * (deg - start) / (edge - start)
         return (True, intensity)
-    apply, v_rest, v_full = drive_map(fe.actuator, fe.geometry)
-    rest, full = apply(v_rest), apply(v_full)
+    rest, full = (drive(fe.actuator, v, fe.geometry)
+                  for v in _interval(fe.actuator))
     wave = IncidentWave(fe.wavelength_nm, angle_deg, order=1)
     half = rest.pd_length_mm / 2
     try:
@@ -278,7 +279,8 @@ def object_model_detect(fe, angle_deg):
         if landing_rest > half:
             target = DesignTarget("pd_landing", half, wave, fe.geometry,
                                   "voltage")
-            state = apply(solve_voltage(target, fe.actuator))
+            state = drive(fe.actuator, solve_voltage(target, fe.actuator),
+                          fe.geometry)
             return (True, evaluate(state, wave).transmittance)
         return (True, evaluate(rest, wave).transmittance)
     except (EvanescentOrder, Infeasible):

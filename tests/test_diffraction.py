@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import sici
 
-from ris_vlc.diffraction import (NullBeyondHorizon, _half_capture, evaluate,
-                                 first_null_angle, medium_wavelength_nm,
-                                 pattern_power_fraction, profile_on_pd,
+from ris_vlc.diffraction import (NullBeyondHorizon, _capture, _half_capture,
+                                 evaluate, first_null_angle,
+                                 medium_wavelength_nm, profile_on_pd,
                                  steering_offset_mm)
 from ris_vlc.optics import EvanescentOrder, IncidentWave, SteeringGeometry
 from ris_vlc.runner import run
@@ -176,42 +176,45 @@ class TestSpotReport:
             evaluate(geom(slit=0.4, n=1.1), wave(lam=800, inc=90, order=1))
 
 
+def coverage(g, w, halfwidth_mm):
+    """The capture fraction of a window of half-width ``halfwidth_mm``
+    about the pattern centre, as the metric row takes it."""
+    return evaluate(replace(g, pd_length_mm=2 * halfwidth_mm), w).pd_coverage
+
+
 class TestPowerFraction:
     def test_central_lobe_share(self):
         g, w = geom(), wave()
         half = evaluate(g, w).full_width_mm / 2
-        got = pattern_power_fraction(g, w, half)
+        got = coverage(g, w, half)
         assert got == pytest.approx(0.9028, abs=5e-4)
         assert got == pytest.approx(brute_fraction(g, w, half), abs=1e-6)
 
     def test_monotone_in_window(self):
         g, w = geom(), wave()
         windows = [0.01, 0.05, 0.1, 0.2, 0.5, 2.0, 50.0]
-        values = [pattern_power_fraction(g, w, h) for h in windows]
+        values = [coverage(g, w, h) for h in windows]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_full_window_is_unity(self):
-        assert pattern_power_fraction(geom(), wave(), math.inf) == 1.0
+        g, w = geom(), wave()
+        assert _capture(g.slit_um, g.depth_mm, g.n_ris, w.wavelength_nm,
+                        math.inf) == 1.0
 
     def test_tiny_window_vanishes(self):
-        assert pattern_power_fraction(geom(), wave(), 1e-9) < 1e-6
-
-    def test_window_guard(self):
-        with pytest.raises(ValueError):
-            pattern_power_fraction(geom(), wave(), 0.0)
+        assert coverage(geom(), wave(), 1e-9) < 1e-6
 
     @pytest.mark.parametrize("halfwidth", [0.03, 0.092, 0.4])
     def test_against_trapezoid_oracle(self, halfwidth):
         g, w = geom(), wave()
-        got = pattern_power_fraction(g, w, halfwidth)
+        got = coverage(g, w, halfwidth)
         assert got == pytest.approx(brute_fraction(g, w, halfwidth), abs=1e-6)
 
     @pytest.mark.parametrize("slit", [4.0, 1.7e308])
     def test_vanishing_null_distance_captures_everything(self, slit):
         # the first-null distance lambda_m y / a underflows to 0
-        assert pattern_power_fraction(geom(slit=slit, depth=5e-324), wave(),
-                                      0.5) == 1.0
+        assert coverage(geom(slit=slit, depth=5e-324), wave(), 0.5) == 1.0
 
     def test_horizon_of_an_overflowing_depth(self):
         # tan(horizon) y overflows; the horizon is tan(horizon) a / lambda_m
@@ -220,8 +223,7 @@ class TestPowerFraction:
         scale = lam_m_mm * g.depth_mm / (g.slit_um * 1e-3)
         t_max = TAN_HORIZON * g.slit_um * 1e-3 / lam_m_mm
         want = (0.5 / scale) / sici_half_capture(t_max)
-        assert pattern_power_fraction(g, w, 0.5) == pytest.approx(want,
-                                                                  rel=1e-12)
+        assert coverage(g, w, 0.5) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("depth", [1e-3, 1.0, 1e300])
     def test_flat_pattern_below_the_wavelength(self, depth):
@@ -231,7 +233,7 @@ class TestPowerFraction:
         want = min(0.5 / (TAN_HORIZON * depth), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = pattern_power_fraction(g, wave(), 0.5)
+            got = coverage(g, wave(), 0.5)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -379,7 +381,7 @@ def test_tail_bound_is_at_most_one(slit, depth):
     however narrow the slit."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pattern_power_fraction(geom(slit=slit, depth=depth), wave(), 0.5)
+        coverage(geom(slit=slit, depth=depth), wave(), 0.5)
     for w in caught:
         bound = re.search(r"bounded by (\S+) of total power", str(w.message))
         assert 1e-3 < float(bound.group(1)) <= 1.0

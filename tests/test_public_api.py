@@ -10,13 +10,17 @@ MODULES = ("optics", "diffraction", "tuning", "bench", "scenario", "runner")
 # Deleted public names: copies of a quantity that nothing but their own
 # tests called, the index and depth solvers that were second entry points
 # beside ``tuning.solve``, the two results that ``diffraction.evaluate``
-# replaces with one metric row, and the wavelength wrapper whose value
-# ``IncidentWave.wavelength_nm`` holds.  README lists what replaces each.
+# replaces with one metric row, the wavelength wrapper whose value
+# ``IncidentWave.wavelength_nm`` holds, the three voltage -> slab maps
+# that ``tuning.drive`` replaces, and the capture fraction that
+# ``evaluate`` gives as its ``pd_coverage``.  README lists what replaces
+# each.
 REMOVED = {
     "optics": ("snell_angle", "TotalInternalReflection", "Wavelength"),
     "diffraction": ("fraunhofer_relative_intensity", "spot_report",
-                    "SpotReport"),
-    "tuning": ("solve_index_for_angle", "solve_depth_for_spot"),
+                    "SpotReport", "pattern_power_fraction"),
+    "tuning": ("solve_index_for_angle", "solve_depth_for_spot",
+               "metalens_apply", "lc_apply", "drive_map"),
     "bench": ("detect",),
 }
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ris_vlc.cli import _build_parser, main
 from ris_vlc import _g17
@@ -26,7 +26,8 @@ from ris_vlc.optics import IncidentWave, SteeringGeometry
 from ris_vlc.runner import (_CELL, _CHUNK_ROWS, _template, _write_csv,
                             _write_profile, bundled_scenario_names,
                             bundled_scenario_path, run, run_bundled)
-from ris_vlc.scenario import CURVE_KEYS, load_scenario, scenario_from_dict
+from ris_vlc.scenario import (CURVE_KEYS, SweepSpec, load_scenario,
+                              scenario_from_dict)
 
 
 def write_scenario(tmp_path, data, name="case"):
@@ -1039,18 +1040,17 @@ def object_model_sweep(sc):
     """The sweep's CSV rows and warning counts computed the way the
     runner did before its rows became field values: each curve and swept
     value set on the value objects with ``dataclasses.replace`` (or
-    driven through ``drive_map``), which checks every field again, and
+    driven through ``tuning.drive``), which checks every field again, and
     the row from ``evaluate``."""
     from dataclasses import replace
 
     from ris_vlc.diffraction import evaluate
     from ris_vlc.optics import EvanescentOrder
-    from ris_vlc.tuning import drive_map
+    from ris_vlc.tuning import drive
 
     def override(key, value, geom, wave):
         if key == "voltage_v":
-            apply, _, _ = drive_map(sc.actuator, geom)
-            return apply(value), wave
+            return drive(sc.actuator, value, geom), wave
         if key in ("wavelength_nm", "incidence_deg"):
             return geom, replace(wave, **{key: value})
         return replace(geom, **{key: value}), wave
@@ -1094,7 +1094,7 @@ def object_model_sweep(sc):
     "sweep": {"parameter": "voltage", "from_v": 0.0, "to_v": 1200.0,
               "steps": 4, "curves": {"depth_mm": [0.75, 5e-324]},
               "baseline": {"depth_mm": 0.5}}})
-@example(data={  # a log grid whose ratio overflows: inf rows, ValueError
+@example(data={  # a log grid whose end ratio overflows: finite inner rows
     "geometry": {"slit_um": 0.5, "depth_mm": 1.0, "pd_length_mm": 1.0,
                  "n_ris": 2.0},
     "wave": {"wavelength_nm": 550.0, "incidence_deg": 0.0},
@@ -1113,3 +1113,57 @@ def test_sweep_rows_equal_the_object_model(data):
         lines = (Path(tmp) / "rows_sweep.csv").read_text().splitlines(True)
         assert lines[1:] == want
         assert sidecar_warnings(Path(tmp), "rows") == counted
+
+
+def log_spec(start, stop, steps):
+    return SweepSpec(parameter="depth", start=start, stop=stop, steps=steps,
+                     spacing="log")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.lists(st.floats(5e-324, 1.7e308), min_size=2, max_size=2,
+                     unique=True),
+       steps=st.integers(2, 40))
+@example(ends=[1e-300, 1e8], steps=4)
+def test_log_grid_keeps_its_bits_where_the_end_ratio_is_finite(ends, steps):
+    """A log grid whose end ratio stop / start is finite is the geometric
+    grid start * r**k, r = (stop / start) ** (1 / (steps - 1)), bit for
+    bit, ending on ``stop``."""
+    start, stop = sorted(ends)
+    assume(stop / start < math.inf)
+    ratio = (stop / start) ** (1.0 / (steps - 1))
+    want = [start * ratio ** k for k in range(steps - 1)] + [stop]
+    assert runner._sweep_grid(log_spec(start, stop, steps)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.floats(5e-324, 1e-310), stop=st.floats(1e3, sys.float_info.max),
+       steps=st.integers(2, 1000))
+@example(start=5e-324, stop=10.0, steps=4)
+@example(start=5e-324, stop=sys.float_info.max, steps=3)
+@example(start=5e-324, stop=sys.float_info.max, steps=10**5)
+def test_log_grid_past_an_overflowing_end_ratio(start, stop, steps):
+    """A log grid whose end ratio overflows keeps both ends exactly, and
+    its inner values are finite, nondecreasing and within them."""
+    assert stop / start == math.inf
+    grid = runner._sweep_grid(log_spec(start, stop, steps))
+    assert len(grid) == steps
+    assert grid[0] == start and grid[-1] == stop
+    assert all(start <= v <= stop for v in grid)
+    assert all(a <= b for a, b in zip(grid, grid[1:]))
+
+
+def test_depth_sweep_from_the_smallest_depth_has_no_failed_row(tmp_path):
+    """From 5e-324 mm to 10 mm in 4 log steps, the inner depths are finite
+    and increasing, and every row evaluates."""
+    data = minimal()
+    data["sweep"] = {"parameter": "depth", "from_mm": 5e-324, "to_mm": 10.0,
+                     "steps": 4, "spacing": "log"}
+    report = run(scenario_from_dict(data, name="deep"), tmp_path, quiet=True)
+    with open(report.artifacts[0], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    depths = [float(r["depth_mm"]) for r in rows]
+    assert depths[0] == 5e-324 and depths[-1] == 10.0
+    assert all(a < b for a, b in zip(depths, depths[1:]))
+    assert [r["error"] for r in rows] == [""] * 4
+    assert not any("inf" in cell for r in rows for cell in r.values())

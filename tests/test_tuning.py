@@ -10,8 +10,8 @@ from ris_vlc.optics import (EvanescentOrder, IncidentWave,
                             SteeringGeometry, refraction_angle)
 from ris_vlc.tuning import (DesignTarget, Infeasible, LiquidCrystalActuator,
                             MetaLensActuator, OutOfMaterialRange,
-                            actuator_preset, drive_map, lc_apply,
-                            metalens_apply, solve, solve_voltage)
+                            _interval, actuator_preset, drive, solve,
+                            solve_voltage)
 
 
 def geom(slit=100.0, depth=0.75, pd=1.0, n=1.508):
@@ -30,44 +30,48 @@ def metalens(stretch_max=2.0, v_max=1000.0, base=None):
 class TestMetaLensMap:
     def test_zero_drive_is_identity(self):
         act = metalens()
-        assert metalens_apply(act, 0.0) == act.base_geometry
+        assert drive(act, 0.0) == act.base_geometry
 
     def test_full_drive_endpoints(self):
-        out = metalens_apply(metalens(stretch_max=2.0), 1000.0)
+        out = drive(metalens(stretch_max=2.0), 1000.0)
         assert out.slit_um == pytest.approx(200.0, rel=1e-15)
         assert out.depth_mm == pytest.approx(0.75 / 4, rel=1e-15)
 
     def test_half_drive_with_triple_stretch(self):
-        out = metalens_apply(metalens(stretch_max=3.0), 500.0)
+        out = drive(metalens(stretch_max=3.0), 500.0)
         assert out.slit_um == pytest.approx(200.0, rel=1e-15)
         assert out.depth_mm == pytest.approx(0.75 / 4, rel=1e-15)
 
     def test_volume_proxy_conserved(self):
         base = geom()
         for v in (0.0, 123.4, 750.0, 1000.0):
-            out = metalens_apply(metalens(stretch_max=1.7), v)
+            out = drive(metalens(stretch_max=1.7), v)
             assert out.slit_um ** 2 * out.depth_mm == pytest.approx(
                 base.slit_um ** 2 * base.depth_mm, rel=1e-12)
 
     def test_clamp_warns(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            out = metalens_apply(metalens(stretch_max=2.0), 1500.0)
+        with pytest.warns(UserWarning, match="^drive 1500 V clamped to v_max "
+                                             "1000 V$"):
+            out = drive(metalens(stretch_max=2.0), 1500.0)
         assert out.slit_um == pytest.approx(200.0)
 
-    def test_negative_drive_rejected(self):
-        with pytest.raises(ValueError):
-            metalens_apply(metalens(), -1.0)
+    @pytest.mark.parametrize("act", [metalens(), LiquidCrystalActuator()],
+                             ids=["metalens", "lc"])
+    def test_negative_drive_rejected(self, act):
+        with pytest.raises(ValueError, match="^drive voltage must be finite "
+                                             "and >= 0, got -1"):
+            drive(act, -1.0, geom())
 
     def test_monotone_in_voltage(self):
         act = metalens(stretch_max=1.5)
-        slits = [metalens_apply(act, v).slit_um for v in range(0, 1001, 100)]
+        slits = [drive(act, v).slit_um for v in range(0, 1001, 100)]
         assert all(b > a for a, b in zip(slits, slits[1:]))
 
 
     def test_base_override(self):
         act, base = metalens(stretch_max=2.0), geom(slit=10.0)
-        assert metalens_apply(act, 0.0, base) == base
-        assert metalens_apply(act, 1000.0, base).slit_um == 20.0
+        assert drive(act, 0.0, base) == base
+        assert drive(act, 1000.0, base).slit_um == 20.0
 
     @pytest.mark.parametrize("field", ["v_max_v", "stretch_max"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
@@ -87,25 +91,26 @@ class TestLiquidCrystalMap:
     def test_below_threshold_flat(self):
         act = LiquidCrystalActuator(n_base=1.5, delta_n=0.3)
         for v in (0.0, 1.0, 3.0):
-            assert lc_apply(act, v, geom()).n_ris == 1.5
+            assert drive(act, v, geom()).n_ris == 1.5
 
     def test_saturation_reaches_upper_index(self):
         act = LiquidCrystalActuator(n_base=1.508, delta_n=0.392)
-        assert lc_apply(act, 5.0, geom()).n_ris == pytest.approx(1.9, rel=1e-15)
+        assert drive(act, 5.0, geom()).n_ris == pytest.approx(1.9, rel=1e-15)
 
     def test_linear_midpoint(self):
         act = LiquidCrystalActuator(n_base=1.5, delta_n=0.3)
-        assert lc_apply(act, 4.0, geom()).n_ris == pytest.approx(1.65, rel=1e-15)
+        assert drive(act, 4.0, geom()).n_ris == pytest.approx(1.65, rel=1e-15)
 
     def test_clamp_above_saturation_warns(self):
         act = LiquidCrystalActuator(n_base=1.5, delta_n=0.3)
-        with pytest.warns(UserWarning, match="clamped"):
-            out = lc_apply(act, 7.0, geom())
+        with pytest.warns(UserWarning, match="^drive 7 V clamped to "
+                                             "saturation 5 V$"):
+            out = drive(act, 7.0, geom())
         assert out.n_ris == pytest.approx(1.8)
 
     def test_geometry_otherwise_unchanged(self):
         base = geom()
-        out = lc_apply(LiquidCrystalActuator(), 4.2, base)
+        out = drive(LiquidCrystalActuator(), 4.2, base)
         assert (out.slit_um, out.depth_mm, out.pd_length_mm) == \
             (base.slit_um, base.depth_mm, base.pd_length_mm)
 
@@ -130,15 +135,15 @@ class TestLiquidCrystalMap:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # sweep deliberately passes v_sat
-            grid = [lc_apply(act, 0.5 * k, geom()).n_ris for k in range(13)]
+            grid = [drive(act, 0.5 * k, geom()).n_ris for k in range(13)]
         assert all(b >= a for a, b in zip(grid, grid[1:]))
 
 
 class TestPresets:
     def test_lc_preset_spans_documented_index_band(self):
         act = actuator_preset("lc-sun2019")
-        assert lc_apply(act, act.v_on_v, geom()).n_ris == 1.508
-        assert lc_apply(act, act.v_sat_v, geom()).n_ris == pytest.approx(1.9)
+        assert drive(act, act.v_on_v, geom()).n_ris == 1.508
+        assert drive(act, act.v_sat_v, geom()).n_ris == pytest.approx(1.9)
 
     def test_metalens_preset(self):
         act = actuator_preset("metalens-she2018")
@@ -252,7 +257,7 @@ class TestSolveVoltage:
         act = LiquidCrystalActuator(n_base=1.508, delta_n=0.392)
         base = geom()
         w = wave()
-        theta = refraction_angle(lc_apply(act, 4.2, base), w)
+        theta = refraction_angle(drive(act, 4.2, base), w)
         target = DesignTarget("refraction_angle", math.degrees(theta), w, base,
                               "voltage")
         v = solve_voltage(target, act)
@@ -262,7 +267,7 @@ class TestSolveVoltage:
         act = LiquidCrystalActuator(n_base=1.508, delta_n=0.392)
         base = geom()
         w = wave()
-        theta = refraction_angle(lc_apply(act, 5.0, base), w)
+        theta = refraction_angle(drive(act, 5.0, base), w)
         target = DesignTarget("refraction_angle", math.degrees(theta), w, base,
                               "voltage")
         assert solve_voltage(target, act) == pytest.approx(5.0, abs=1e-6)
@@ -278,11 +283,11 @@ class TestSolveVoltage:
     def test_metalens_landing_round_trip(self):
         act = metalens(stretch_max=1.5, base=geom(n=1.6))
         w = wave(inc=80.0)
-        landing = steering_offset_mm(metalens_apply(act, 640.0), w)
+        landing = steering_offset_mm(drive(act, 640.0), w)
         target = DesignTarget("pd_landing", landing, w, None, "voltage")
         v = solve_voltage(target, act)
         assert v == pytest.approx(640.0, abs=0.5)
-        achieved = steering_offset_mm(metalens_apply(act, v), w)
+        achieved = steering_offset_mm(drive(act, v), w)
         assert achieved == pytest.approx(landing, rel=1e-6)
 
     def test_infeasible_reports_achievable_interval(self):
@@ -299,20 +304,30 @@ class TestSolveVoltage:
         with pytest.raises(ValueError, match="geometry"):
             solve_voltage(target, LiquidCrystalActuator())
 
-    def test_drive_map_lc_requires_base(self):
-        with pytest.raises(ValueError, match="base geometry"):
-            drive_map(LiquidCrystalActuator())
+    def test_drive_lc_requires_base(self):
+        with pytest.raises(ValueError, match="^liquid-crystal drive requires "
+                                             "a base geometry$"):
+            drive(LiquidCrystalActuator(), 4.0)
 
-    def test_drive_map_intervals_and_base(self):
+    @pytest.mark.parametrize("actuator", [None, geom()],
+                             ids=["none", "slab"])
+    def test_drive_requires_an_actuator(self, actuator):
+        with pytest.raises(ValueError, match="^voltage drive requires an "
+                                             "actuator, got "):
+            drive(actuator, 1.0, geom())
+
+    def test_drive_intervals_and_base(self):
         base = geom(slit=50.0, n=1.4)
-        apply, lo, hi = drive_map(metalens(), base)
+        lo, hi = _interval(metalens())
         assert (lo, hi) == (0.0, 1000.0)
-        assert apply(lo) == base
-        assert apply(hi).slit_um == 100.0
-        apply, lo, hi = drive_map(LiquidCrystalActuator(), base)
+        assert drive(metalens(), lo, base) == base
+        assert drive(metalens(), hi, base).slit_um == 100.0
+        lo, hi = _interval(LiquidCrystalActuator())
         assert (lo, hi) == (3.0, 5.0)
-        assert apply(lo) == replace(base, n_ris=1.508)
-        assert apply(hi).n_ris == pytest.approx(1.808)
+        assert drive(LiquidCrystalActuator(), lo, base) == replace(
+            base, n_ris=1.508)
+        assert drive(LiquidCrystalActuator(), hi, base).n_ris == \
+            pytest.approx(1.808)
 
     def test_randomised_round_trips(self):
         rng = random.Random(4321)
@@ -322,11 +337,11 @@ class TestSolveVoltage:
             v_true = rng.uniform(3.0, 5.0)
             w = wave(inc=rng.uniform(20.0, 90.0))
             value = math.degrees(
-                refraction_angle(lc_apply(act, v_true, base), w))
+                refraction_angle(drive(act, v_true, base), w))
             target = DesignTarget("refraction_angle", value, w, base, "voltage")
             v = solve_voltage(target, act)
             achieved = math.degrees(
-                refraction_angle(lc_apply(act, v, base), w))
+                refraction_angle(drive(act, v, base), w))
             assert achieved == pytest.approx(value, rel=1e-6)
 
 
@@ -342,8 +357,8 @@ def forward(kind, g, w):
 def bisected_drive(act, kind, value, base, w):
     """Reference drive: the forward map bisected until the bracket closes
     to adjacent floats."""
-    apply, lo, hi = drive_map(act, base)
-    f = lambda v: forward(kind, apply(v), w)
+    lo, hi = _interval(act)
+    f = lambda v: forward(kind, drive(act, v, base), w)
     increasing = f(hi) > f(lo)
     while True:
         mid = 0.5 * (lo + hi)
@@ -374,8 +389,8 @@ KINDS = ("refraction_angle", "pd_landing", "spot_width")
 def assert_infeasible_beyond(end, kind, act, base, w):
     """A target 1e-5 beyond the metric at either end of the drive interval
     is Infeasible, with its text and its achievable interval."""
-    apply, lo, hi = drive_map(act, base)
-    ends = sorted(forward(kind, apply(v), w) for v in (lo, hi))
+    ends = sorted(forward(kind, drive(act, v, base), w)
+                  for v in _interval(act))
     value = ends[0] * (1 - 1e-5) if end == "low" else ends[1] * (1 + 1e-5)
     with pytest.raises(Infeasible) as exc_info:
         solve_voltage(DesignTarget(kind, value, w, base, "voltage"), act)
@@ -387,9 +402,8 @@ def assert_infeasible_beyond(end, kind, act, base, w):
 
 def assert_ends_within_slack(kind, act, base, w):
     """A target within the 1e-6 slack of an end gets that end's drive."""
-    apply, lo, hi = drive_map(act, base)
-    for v_end in (lo, hi):
-        value = forward(kind, apply(v_end), w) * (1 + 5e-7)
+    for v_end in _interval(act):
+        value = forward(kind, drive(act, v_end, base), w) * (1 + 5e-7)
         got = solve_voltage(DesignTarget(kind, value, w, base, "voltage"),
                             act)
         assert got == v_end
@@ -409,7 +423,7 @@ class TestClosedFormLiquidCrystal:
             w = wave(rng.uniform(300.0, 1500.0), rng.uniform(0.0, 90.0))
             span = act.v_sat_v - act.v_on_v
             v_true = act.v_on_v + rng.uniform(0.05, 0.95) * span
-            value = forward(kind, lc_apply(act, v_true, base), w)
+            value = forward(kind, drive(act, v_true, base), w)
             v = solve_voltage(DesignTarget(kind, value, w, base, "voltage"),
                               act)
             reference = bisected_drive(act, kind, value, base, w)
@@ -418,8 +432,8 @@ class TestClosedFormLiquidCrystal:
     @pytest.mark.parametrize("kind", KINDS)
     def test_two_forward_evaluations_per_solve(self, kind, monkeypatch):
         act, base, w = actuator_preset("lc-sun2019"), geom(slit=4.0), wave()
-        value = forward(kind, lc_apply(act, 4.2, base), w)
-        calls = counting(monkeypatch, "lc_apply")
+        value = forward(kind, drive(act, 4.2, base), w)
+        calls = counting(monkeypatch, "drive")
         solve_voltage(DesignTarget(kind, value, w, base, "voltage"), act)
         assert [c[1] for c in calls] == [3.0, 5.0]
 
@@ -463,11 +477,11 @@ class TestClosedFormMetaLens:
                      order=rng.choice([0, 1, 2, 3]))
             v_true = rng.uniform(0.05, 0.95) * act.v_max_v
             try:
-                ends = [forward(kind, metalens_apply(act, v), w)
+                ends = [forward(kind, drive(act, v), w)
                         for v in (0.0, act.v_max_v)]
             except EvanescentOrder:
                 continue
-            value = forward(kind, metalens_apply(act, v_true), w)
+            value = forward(kind, drive(act, v_true), w)
             if abs(ends[0] - ends[1]) <= 1e-5 * value:
                 continue  # the metric does not depend on the drive
             v = solve_voltage(DesignTarget(kind, value, w, None, "voltage"),
@@ -480,11 +494,11 @@ class TestClosedFormMetaLens:
     def test_two_forward_evaluations_per_solve(self, kind, monkeypatch):
         act = metalens(stretch_max=1.5, base=geom(n=1.6))
         w = wave(inc=80.0)
-        value = forward(kind, metalens_apply(act, 640.0), w)
-        calls = counting(monkeypatch, "metalens_apply")
+        value = forward(kind, drive(act, 640.0), w)
+        calls = counting(monkeypatch, "drive")
         v = solve_voltage(DesignTarget(kind, value, w, None, "voltage"), act)
         assert [c[1] for c in calls] == [0.0, 1000.0]
-        achieved = forward(kind, metalens_apply(act, v), w)
+        achieved = forward(kind, drive(act, v), w)
         assert achieved == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -516,7 +530,7 @@ class TestClosedFormMetaLens:
         base = geom(slit=100.0, depth=0.75, n=1.0056)
         act = metalens(stretch_max=1.5, base=base)
         w = wave(inc=90.0)
-        value = forward("pd_landing", metalens_apply(act, 1.0), w)
+        value = forward("pd_landing", drive(act, 1.0), w)
         v = solve_voltage(DesignTarget("pd_landing", value, w, None,
                                        "voltage"), act)
         assert v == pytest.approx(
@@ -601,7 +615,7 @@ class TestAirIndexAboveOne:
     def test_lc_angle_drive_round_trip(self, monkeypatch):
         act = LiquidCrystalActuator(n_base=1.508, delta_n=0.392)
         base, w = replace(geom(), n_air=1.0007), wave(inc=60.0)
-        theta = refraction_angle(lc_apply(act, 4.2, base), w)
+        theta = refraction_angle(drive(act, 4.2, base), w)
         target = DesignTarget("refraction_angle", math.degrees(theta), w, base,
                               "voltage")
         calls = counting(monkeypatch, "_index_for")
